@@ -5,7 +5,8 @@ Subcommands: qgenus (print the Chern-class polynomial tables), mzv
 (run the self-check suites).  Data goes to stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or budget errors,
-3 divergent MZV request.
+3 divergent MZV request, 4 internal error (any uncaught exception, such as
+MemoryError, reported as one line on stderr).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DIVERGENT = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_word(text: str):
@@ -186,13 +188,20 @@ def cmd_verify(opts) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     opts = parser.parse_args(argv)
-    if opts.command == "qgenus":
-        return cmd_qgenus(opts)
-    if opts.command == "mzv":
-        return cmd_mzv(opts)
-    if opts.command == "stuffle":
-        return cmd_stuffle(opts)
-    return cmd_verify(opts)
+    command = {
+        "qgenus": cmd_qgenus,
+        "mzv": cmd_mzv,
+        "stuffle": cmd_stuffle,
+        "verify": cmd_verify,
+    }[opts.command]
+    try:
+        return command(opts)
+    except Exception as exc:
+        print(
+            f"gammagenus: internal error: {type(exc).__name__}: {exc}",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

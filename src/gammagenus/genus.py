@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import as_partition, partitions_of, sort_key
-from .symfunc import SymPoly, e_to_m_matrix
+from .symfunc import SymPoly, _invert, e_to_m_matrix
 from .words import sym_to_words, word_key
 from .zetaring import (
     GAMMA,
@@ -104,7 +104,8 @@ class CyGenusPolynomial:
 
 
 def _check_degree(i: int, budget: int, label: str) -> int:
-    i = int(i)
+    if not isinstance(i, int) or isinstance(i, bool):
+        raise TypeError(f"{label} degree must be an int, got {i!r}")
     if i < 1:
         raise ValueError(f"{label} degree must be >= 1, got {i}")
     if i > budget:
@@ -125,39 +126,14 @@ def q_genus(i: int) -> GenusPolynomial:
     return GenusPolynomial(i, coeffs).validate()
 
 
-def _solve_exact_system(matrix, rhs):
-    """Solve A x = b exactly, Fraction matrix and ZetaPoly right-hand side."""
-    n = len(rhs)
-    a = [list(row) for row in matrix]
-    x = list(rhs)
-    for col in range(n):
-        pivot = next(
-            (r for r in range(col, n) if a[r][col] != 0),
-            None,
-        )
-        if pivot is None:
-            raise ValueError("transition system is singular")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            x[col], x[pivot] = x[pivot], x[col]
-        inv = Fraction(1, 1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        x[col] = x[col].scaled(inv)
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                x[r] = x[r] - x[col].scaled(f)
-    return x
-
-
 @lru_cache(maxsize=None)
 def q_genus_oracle(i: int) -> GenusPolynomial:
     """Q_i read directly off the generating product, degree i at a time.
 
     Expands prod_{j<=i} (sum_d G_d t_j^d) with G_d = zeta_hom(e_d), keeps
     total degree <= i, collects the degree-i part in the monomial basis and
-    solves exactly for its elementary-basis coefficients.
+    solves exactly for its elementary-basis coefficients with the inverse of
+    the transposed e->m matrix.
     """
     i = _check_degree(i, ORACLE_BUDGET, "oracle")
     g = [zeta_hom(SymPoly.basis_element("e", (d,))) for d in range(1, i + 1)]
@@ -190,8 +166,13 @@ def q_genus_oracle(i: int) -> GenusPolynomial:
         [matrix[r][c] for r in range(len(order))] for c in range(len(order))
     ]
     rhs = [by_partition.get(mu, ZetaPoly.zero()) for mu in order]
-    solved = _solve_exact_system(transposed, rhs)
-    coeffs = dict(zip(order, solved))
+    coeffs = {}
+    for lam, row in zip(order, _invert(transposed)):
+        acc = ZetaPoly.zero()
+        for q, b in zip(row, rhs):
+            if q:
+                acc = acc + b.scaled(q)
+        coeffs[lam] = acc
     return GenusPolynomial(i, coeffs).validate()
 
 

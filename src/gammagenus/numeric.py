@@ -292,9 +292,7 @@ def _dp_sum(comp, N: int):
         outer = n ** (-float(comp[0])) * vals
         if not bool((outer >= 0.0).all()):
             raise AssertionError("negative summand in a positive series")
-        increment = float(outer.sum())
-        assert increment >= 0.0, "partial sums must be nondecreasing"
-        partial += increment
+        partial += float(outer.sum())
         lo = hi + 1
     return partial, carry
 
@@ -442,17 +440,6 @@ def eval_qsym(q, tol: float = 1e-8) -> BoundedValue:
     return acc
 
 
-def eval_mzv_value(v, tol: float = 1e-8) -> BoundedValue:
-    """Evaluate an MzvValue (ring coefficients times MZV symbol products)."""
-    acc = BoundedValue.exact(0.0)
-    for atoms, poly in sorted(v.terms.items()):
-        term = eval_zeta_poly(poly)
-        for comp in atoms:
-            term = term * mzv(comp, tol)
-        acc = acc + term
-    return acc
-
-
 # --- Taylor coefficients of 1/Gamma(1+z) ----------------------------------------
 
 _VALIDATION_POINTS = (-0.4, -0.2, 0.1, 0.3, 0.5)
@@ -574,9 +561,10 @@ def _validated_series(degree: int):
 def gamma_recip_coeffs(N: int):
     """Taylor coefficients g_0..g_N of 1/Gamma(1+z), each with a bound.
 
-    Every call revalidates the series against the Weierstrass product at
-    the fixed sample points; a failure raises rather than returning
-    unvalidated coefficients.
+    The series is validated against the Weierstrass product at the fixed
+    sample points once per degree per process (the validated series is
+    cached); a failure raises rather than returning unvalidated
+    coefficients.
     """
     if N < 0:
         raise ValueError("N must be >= 0")

@@ -1,12 +1,16 @@
 """Symmetric functions over exact rationals in the m / e / p bases.
 
 A SymPoly is a basis tag plus a sparse map from partitions to rational
-coefficients.  Conversions between bases are deliberately not transcribed
-from closed formulas: every basis element can be expanded brute-force into
-honest variables t_1..t_n (a MultiPoly), and conversion matrices are built
-from those expansions, so the same machinery that implements to_basis also
-serves as the oracle that cross-checks it.  Triangularity of the transition
-matrices guarantees the exact linear solves are unique.
+coefficients.  The e->m and p->m transition matrices are counted directly
+(Macdonald, Symmetric Functions and Hall Polynomials, ch. I sec. 6): the
+coefficient of m_mu in e_lam is the number of 0/1 matrices with row sums lam
+and column sums mu, and in p_lam it is the number of ways to place the parts
+of lam on len(mu) variables so that the exponents come out as mu.  Every
+other conversion is one exact inversion and product of those matrices;
+triangularity guarantees the solves are unique.
+
+Brute-force expansion into honest variables t_1..t_n (a MultiPoly, see
+expand_in_vars) is kept as the test oracle for the counted rows.
 """
 
 from __future__ import annotations
@@ -22,25 +26,6 @@ from .rationals import frac_from_str, frac_str
 BASES = ("m", "e", "p")
 
 
-_SHIFT = 16
-
-
-def _pack(exps, shift: int) -> int:
-    acc = 0
-    for x in exps:
-        acc = (acc << shift) | x
-    return acc
-
-
-def _unpack(packed: int, nvars: int, shift: int) -> tuple:
-    mask = (1 << shift) - 1
-    out = [0] * nvars
-    for i in range(nvars - 1, -1, -1):
-        out[i] = packed & mask
-        packed >>= shift
-    return tuple(out)
-
-
 class MultiPoly:
     """Sparse polynomial in t_1..t_n with exact coefficients.
 
@@ -48,7 +33,7 @@ class MultiPoly:
     Fractions (both exact); zeros are never stored.
     """
 
-    __slots__ = ("nvars", "terms", "_packed")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = int(nvars)
@@ -63,7 +48,6 @@ class MultiPoly:
                 if c:
                     clean[key] = clean.get(key, 0) + c
         self.terms = {k: c for k, c in clean.items() if c}
-        self._packed = None
 
     @classmethod
     def zero(cls, nvars: int) -> "MultiPoly":
@@ -102,34 +86,12 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         if self.nvars != other.nvars:
             raise ValueError("variable counts differ")
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        # Exponent vectors are packed into one int (16 bits per variable) so
-        # the hot loop does a single integer add per term pair instead of
-        # building a tuple.  16 bits leaves no overflow risk at the degrees
-        # this module sees.  Packed forms are kept on the instances because
-        # expansion chains reuse the same factors over and over.
-        swapped = a is other.terms
-        pa = (other if swapped else self)._packed_terms()
-        pb = (self if swapped else other)._packed_terms()
-        packed: dict = {}
-        get = packed.get
-        for e1, c1 in pa.items():
-            for e2, c2 in pb.items():
-                key = e1 + e2
-                prev = get(key)
-                packed[key] = c1 * c2 if prev is None else prev + c1 * c2
-        n = self.nvars
-        out = {_unpack(k, n, _SHIFT): c for k, c in packed.items() if c}
-        result = MultiPoly(n, out)
-        result._packed = {k: c for k, c in packed.items() if c}
-        return result
-
-    def _packed_terms(self) -> dict:
-        if self._packed is None:
-            self._packed = {_pack(e, _SHIFT): c for e, c in self.terms.items()}
-        return self._packed
+        out: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                key = tuple(x + y for x, y in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        return MultiPoly(self.nvars, out)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.terms!r})"
@@ -158,19 +120,7 @@ def _orbit_exponent_vectors(lam: Partition, n: int):
     return out
 
 
-_EXPANSION_MEMO: dict = {}
-
-
-def clear_expansion_cache() -> None:
-    """Drop memoized raw expansions (conversion matrices stay cached)."""
-    _EXPANSION_MEMO.clear()
-
-
 def _single_factor(basis: str, k: int, n: int) -> MultiPoly:
-    key = (basis, k, n)
-    hit = _EXPANSION_MEMO.get(key)
-    if hit is not None:
-        return hit
     if basis == "e":
         if k > n:
             raise ValueError(
@@ -182,42 +132,26 @@ def _single_factor(basis: str, k: int, n: int) -> MultiPoly:
             for i in idx:
                 vec[i] = 1
             terms[tuple(vec)] = 1
-        mp = MultiPoly(n, terms)
-    elif basis == "p":
-        terms = {
-            tuple(k if j == i else 0 for j in range(n)): 1 for i in range(n)
-        }
-        mp = MultiPoly(n, terms)
-    else:  # pragma: no cover - internal misuse
+        return MultiPoly(n, terms)
+    if basis != "p":  # pragma: no cover - internal misuse
         raise ValueError(f"no single-generator factor in basis {basis!r}")
-    _EXPANSION_MEMO[key] = mp
-    return mp
+    return MultiPoly(
+        n, {tuple(k if j == i else 0 for j in range(n)): 1 for i in range(n)}
+    )
 
 
 def _expand_element(basis: str, lam: Partition, n: int) -> MultiPoly:
-    """Memoized expansion of one basis element in n variables.
-
-    Products peel off the smallest part so that (2, 1, 1, 1) reuses the
-    cached expansion of (2, 1, 1).
-    """
-    key = (basis, lam, n)
-    hit = _EXPANSION_MEMO.get(key)
-    if hit is not None:
-        return hit
+    """Expansion of one basis element in n variables (the test oracle)."""
     if basis == "m":
         if len(lam) > n:
             raise ValueError(
                 f"m_{lam} collapses to 0 in {n} variables; need n >= {len(lam)}"
             )
-        mp = MultiPoly(n, {vec: 1 for vec in _orbit_exponent_vectors(lam, n)})
-    elif not lam:
-        mp = MultiPoly.one(n)
-    elif len(lam) == 1:
-        mp = _single_factor(basis, lam[0], n)
-    else:
-        mp = _expand_element(basis, lam[:-1], n) * _single_factor(basis, lam[-1], n)
-    _EXPANSION_MEMO[key] = mp
-    return mp
+        return MultiPoly(n, {vec: 1 for vec in _orbit_exponent_vectors(lam, n)})
+    out = MultiPoly.one(n)
+    for k in lam:
+        out = out * _single_factor(basis, k, n)
+    return out
 
 
 class SymPoly:
@@ -389,17 +323,38 @@ def _invert(matrix):
 
 
 @lru_cache(maxsize=None)
+def _coefficient(basis: str, lam: Partition, mu: Partition) -> int:
+    """Coefficient of t^mu in e_lam or p_lam over len(mu) variables.
+
+    Removes one factor at a time: p_k lowers one exponent by k, e_k lowers k
+    distinct exponents by 1.  The remaining exponents are sorted, and zeros
+    dropped, before the memo lookup; that is valid because the rest of the
+    product is symmetric and no factor can lower a spent exponent.
+    """
+    if not lam:
+        return int(not mu)
+    k, rest = lam[0], lam[1:]
+    step, width = (k, 1) if basis == "p" else (1, k)
+    total = 0
+    for idx in combinations(range(len(mu)), width):
+        left = list(mu)
+        for i in idx:
+            left[i] -= step
+        if min(left) >= 0:
+            total += _coefficient(
+                basis, rest, tuple(sorted((x for x in left if x), reverse=True))
+            )
+    return total
+
+
+@lru_cache(maxsize=None)
 def _basis_to_m_matrix(basis: str, n: int):
-    """Rows: basis elements of weight n; columns: m-coefficients (fixed order)."""
+    """Rows: e or p basis elements of weight n; columns: m-coefficients."""
     parts = partitions_of(n)
-    rows = []
-    for lam in parts:
-        mp = _expand_element(basis, lam, n)
-        row = tuple(
-            Fraction(mp.terms.get(mu + (0,) * (n - len(mu)), 0)) for mu in parts
-        )
-        rows.append(row)
-    return tuple(rows)
+    return tuple(
+        tuple(Fraction(_coefficient(basis, lam, mu)) for mu in parts)
+        for lam in parts
+    )
 
 
 @lru_cache(maxsize=None)
@@ -423,9 +378,10 @@ def _conversion_matrix(src: str, dst: str, n: int):
 def e_to_m_matrix(n: int):
     """Transition matrix M with e_lam = sum_mu M[lam][mu] m_mu at weight n.
 
-    Rows and columns follow the fixed partition order.  The matrix is built
-    from raw expansions, never from a transcribed formula, and it comes out
-    symmetric; the verification suites assert that.
+    Rows and columns follow the fixed partition order.  Entry [lam][mu]
+    counts the 0/1 matrices with row sums lam and column sums mu, so the
+    matrix is symmetric; the verification suites assert that, and the tests
+    check every row against a brute-force expansion.
     """
     if n < 1:
         raise ValueError("weight must be >= 1")

@@ -41,6 +41,7 @@ from .words import (
     lyndon_recompose,
     lyndon_words,
     stuffle,
+    stuffle_word_pair,
     sym_to_words,
     word_key,
     words_of_weight,
@@ -338,13 +339,13 @@ def _check_commutative(cid, desc):
     bad = []
     for u in words:
         for v in words:
-            if stuffle_pair(u, v) != stuffle_pair(v, u):
+            if stuffle_word_pair(u, v) != stuffle_word_pair(v, u):
                 bad.append((u, v))
     rng = random.Random(SEED)
     for _ in range(30):
         u = _random_word(rng, 7)
         v = _random_word(rng, 7)
-        if stuffle_pair(u, v) != stuffle_pair(v, u):
+        if stuffle_word_pair(u, v) != stuffle_word_pair(v, u):
             bad.append((u, v))
     return _record(cid, desc, not bad, "none", f"{bad[:3]}" if bad else "none")
 
@@ -355,8 +356,8 @@ def _check_associative(cid, desc):
     for u in words:
         for v in words:
             for t in words:
-                lhs = stuffle(stuffle_pair(u, v), QsymPoly.from_word(t))
-                rhs = stuffle(QsymPoly.from_word(u), stuffle_pair(v, t))
+                lhs = stuffle(stuffle_word_pair(u, v), QsymPoly.from_word(t))
+                rhs = stuffle(QsymPoly.from_word(u), stuffle_word_pair(v, t))
                 if lhs != rhs:
                     bad.append((u, v, t))
     rng = random.Random(SEED + 1)
@@ -364,8 +365,8 @@ def _check_associative(cid, desc):
         u = _random_word(rng, 6)
         v = _random_word(rng, 6)
         t = _random_word(rng, 6)
-        lhs = stuffle(stuffle_pair(u, v), QsymPoly.from_word(t))
-        rhs = stuffle(QsymPoly.from_word(u), stuffle_pair(v, t))
+        lhs = stuffle(stuffle_word_pair(u, v), QsymPoly.from_word(t))
+        rhs = stuffle(QsymPoly.from_word(u), stuffle_word_pair(v, t))
         if lhs != rhs:
             bad.append((u, v, t))
     return _record(cid, desc, not bad, "none", f"{bad[:3]}" if bad else "none")
@@ -377,7 +378,7 @@ def _check_weight_additive(cid, desc):
     for _ in range(40):
         u = _random_word(rng, 7)
         v = _random_word(rng, 7)
-        product = stuffle_pair(u, v)
+        product = stuffle_word_pair(u, v)
         want = sum(u) + sum(v)
         if product.weights() not in ([], [want]):
             bad.append((u, v))
@@ -452,10 +453,6 @@ def _check_sym_homomorphism(cid, desc):
         if lhs != rhs:
             bad.append((b1, l1, b2, l2))
     return _record(cid, desc, not bad, "none", f"{bad}" if bad else "none")
-
-
-def stuffle_pair(u, v) -> QsymPoly:
-    return stuffle(QsymPoly.from_word(u), QsymPoly.from_word(v))
 
 
 def _words_checks():
@@ -630,7 +627,7 @@ def _check_stuffle_numeric(cid, desc):
     pairs = (((2,), (2, 1)), ((3,), (2,)), ((2, 2), (3,)))
     bad = []
     for u, v in pairs:
-        product = eval_qsym(stuffle_pair(u, v), 1e-6)
+        product = eval_qsym(stuffle_word_pair(u, v), 1e-6)
         direct = mzv(u, 1e-6) * mzv(v, 1e-6)
         if not product.agrees_with(direct):
             bad.append((u, v))

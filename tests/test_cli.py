@@ -1,10 +1,13 @@
 """End-to-end CLI tests: real subprocesses, exit codes, and JSON contracts."""
 
 import json
+import resource
 import subprocess
 import sys
 
 import pytest
+
+from gammagenus import cli
 
 
 def run_cli(*args):
@@ -77,6 +80,33 @@ def test_qgenus_usage_errors():
     assert res.returncode == 2
     res = run_cli("qgenus", "--max", "1", "--cy")
     assert res.returncode == 2
+
+
+def test_qgenus_degree_budget_fits_in_1gb():
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "gammagenus", "qgenus", "--max", "12"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=cap_address_space,
+    )
+    assert res.returncode == 0, res.stderr
+    assert len(res.stdout.splitlines()) == 12
+
+
+def test_crash_has_its_own_exit_code(monkeypatch, capsys):
+    def boom(opts):
+        raise MemoryError("out of memory")
+
+    monkeypatch.setattr(cli, "cmd_stuffle", boom)
+    code = cli.main(["stuffle", "--left", "2", "--right", "3"])
+    assert code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "MemoryError" in err
 
 
 def test_mzv_text():

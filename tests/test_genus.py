@@ -70,6 +70,11 @@ def test_budgets():
         q_genus(0)
     with pytest.raises(ValueError):
         q_genus_oracle(7)
+    for bad in (2.7, 2.0, True, "2"):
+        with pytest.raises(TypeError):
+            q_genus(bad)
+    with pytest.raises(TypeError):
+        q_genus_oracle(False)
 
 
 def test_validate_catches_bad_leading_coefficient():

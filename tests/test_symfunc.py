@@ -1,8 +1,8 @@
 """Basis conversions checked against raw expansions in honest variables.
 
-The conversion matrices are produced by linear solves against brute-force
-expansions, so these tests lean on an independent route: expand both sides
-in t_1..t_n and compare coefficient dictionaries.
+The e->m and p->m transition rows are counted combinatorially, so these
+tests lean on an independent route, the brute-force expansion oracle:
+expand both sides in t_1..t_n and compare coefficient dictionaries.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ from gammagenus.partitions import partitions_of
 from gammagenus.symfunc import (
     MultiPoly,
     SymPoly,
+    _basis_to_m_matrix,
     collect_symmetric_to_m,
     e_to_m_matrix,
     expand_in_vars,
@@ -98,11 +99,18 @@ def test_e_to_m_matrix_weight_3():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_e_to_m_matrix_symmetric(n):
     mat = e_to_m_matrix(n)
+    parts = partitions_of(n)
     size = len(mat)
-    assert size == len(partitions_of(n))
+    assert size == len(parts)
     for i in range(size):
         for j in range(size):
             assert mat[i][j] == mat[j][i]
+    # the counted e and p rows match the brute-force expansion oracle
+    for basis in ("e", "p"):
+        for lam, row in zip(parts, _basis_to_m_matrix(basis, n)):
+            f = SymPoly.basis_element(basis, lam)
+            oracle = collect_symmetric_to_m(expand_in_vars(f, n)).terms
+            assert list(row) == [oracle.get(mu, 0) for mu in parts]
 
 
 def test_e2_in_power_sums():
