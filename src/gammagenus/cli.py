@@ -126,7 +126,7 @@ def cmd_mzv(opts) -> int:
     if not comp:
         print("mzv: composition must be nonempty", file=sys.stderr)
         return EXIT_USAGE
-    if opts.tol <= 0:
+    if not opts.tol > 0:
         print("mzv: --tol must be positive", file=sys.stderr)
         return EXIT_USAGE
     try:

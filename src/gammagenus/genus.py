@@ -4,9 +4,10 @@ The generating identity sum_i Q_i(e_1,...,e_i) = prod_j 1/Gamma(1+t_j)
 determines the Q_i.  The direct route reads each coefficient off as the
 zeta homomorphism applied to a monomial symmetric function: the coefficient
 of c_lambda in Q_i is zeta_hom(m_lambda).  An independent oracle expands
-the product with symbolic degree-d coefficients and solves the resulting
-linear system exactly; the two must agree, and do so only because the
-elementary-to-monomial transition matrix is symmetric.
+the product with symbolic degree-d coefficients, collects the monomial
+coefficients and rewrites them in the elementary basis (counted rows, then
+triangular substitution along dominance order); the two must agree, and do
+so only because the elementary-to-monomial transition matrix is symmetric.
 
 Setting c_1 = 0 (the Calabi-Yau specialization) kills every partition with
 a part 1, and the surviving coefficients become plain sums of convergent
@@ -19,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import as_partition, partitions_of, sort_key
-from .symfunc import SymPoly, _invert, e_to_m_matrix
+from .symfunc import SymPoly, _m_in
 from .words import sym_to_words, word_key
 from .zetaring import (
     GAMMA,
@@ -132,8 +133,8 @@ def q_genus_oracle(i: int) -> GenusPolynomial:
 
     Expands prod_{j<=i} (sum_d G_d t_j^d) with G_d = zeta_hom(e_d), keeps
     total degree <= i, collects the degree-i part in the monomial basis and
-    solves exactly for its elementary-basis coefficients with the inverse of
-    the transposed e->m matrix.
+    rewrites it in the elementary basis: each m_mu comes from the counted
+    e->m rows by triangular substitution along dominance order.
     """
     i = _check_degree(i, ORACLE_BUDGET, "oracle")
     g = [zeta_hom(SymPoly.basis_element("e", (d,))) for d in range(1, i + 1)]
@@ -159,20 +160,11 @@ def q_genus_oracle(i: int) -> GenusPolynomial:
         rep = tuple(sorted((e for e in exps if e), reverse=True))
         if exps == rep + (0,) * (i - len(rep)):
             by_partition[rep] = c
-    order = partitions_of(i)
-    matrix = e_to_m_matrix(i)
-    # e_lambda = sum_mu M[lambda][mu] m_mu, so the m-coefficients are M^T a.
-    transposed = [
-        [matrix[r][c] for r in range(len(order))] for c in range(len(order))
-    ]
-    rhs = [by_partition.get(mu, ZetaPoly.zero()) for mu in order]
-    coeffs = {}
-    for lam, row in zip(order, _invert(transposed)):
-        acc = ZetaPoly.zero()
-        for q, b in zip(row, rhs):
-            if q:
-                acc = acc + b.scaled(q)
-        coeffs[lam] = acc
+    # the degree-i part is sum_mu b_mu m_mu; rewrite each m_mu in the e basis
+    coeffs = {lam: ZetaPoly.zero() for lam in partitions_of(i)}
+    for mu, b in by_partition.items():
+        for lam, q in _m_in("e", mu).items():
+            coeffs[lam] = coeffs[lam] + b.scaled(q)
     return GenusPolynomial(i, coeffs).validate()
 
 

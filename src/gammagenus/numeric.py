@@ -24,7 +24,14 @@ from math import comb
 
 import numpy as np
 
-from .zetaring import GAMMA, PI2, ZetaPoly, generator_weight
+from .zetaring import (
+    DivergentMzvError,
+    GAMMA,
+    PI2,
+    ZetaPoly,
+    check_convergent_composition,
+    generator_weight,
+)
 
 # Per-operation rounding allowance for BoundedValue arithmetic: generous
 # next to the true 2^-53 unit roundoff, so compound expressions stay honest
@@ -43,10 +50,6 @@ ZETA_TOL = 1e-12
 
 GAMMA_DECIMAL = "0.57721566490153286060651209008240243104215933593992"
 PI_DECIMAL = "3.14159265358979323846264338327950288419716939937510"
-
-
-class DivergentMzvError(ValueError):
-    """Raised for compositions with first entry < 2 (the series diverges)."""
 
 
 class CutoffBudgetError(ValueError):
@@ -258,17 +261,6 @@ def _predicted_bound(comp, N: int, A, r) -> float:
 # --- nested summation -----------------------------------------------------------
 
 
-def check_composition(args) -> tuple:
-    comp = tuple(args)
-    if not comp or not all(isinstance(i, int) and i >= 1 for i in comp):
-        raise ValueError(f"composition entries must be integers >= 1: {args!r}")
-    if comp[0] < 2:
-        raise DivergentMzvError(
-            f"zeta{comp} diverges: the first argument must be >= 2"
-        )
-    return comp
-
-
 def _dp_sum(comp, N: int):
     """Partial sum over n_1 <= N by blockwise dynamic programming.
 
@@ -340,7 +332,7 @@ def mzv_info(args, tol: float, *, cutoff=None, max_cutoff=DEFAULT_MAX_CUTOFF):
     bound is at most 0.8 * tol; passing cutoff explicitly skips the ladder
     (the reported bound is then whatever that cutoff honestly achieves).
     """
-    comp = check_composition(args)
+    comp = check_convergent_composition(args)
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -375,7 +367,7 @@ def _mzv_cached(comp, tol, max_cutoff):
 
 def mzv(args, tol: float, *, max_cutoff=DEFAULT_MAX_CUTOFF) -> BoundedValue:
     """Convergent multiple zeta value with error_bound <= tol."""
-    comp = check_composition(args)
+    comp = check_convergent_composition(args)
     return _mzv_cached(comp, float(tol), int(max_cutoff))
 
 

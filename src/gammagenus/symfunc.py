@@ -6,8 +6,10 @@ coefficients.  The e->m and p->m transition matrices are counted directly
 coefficient of m_mu in e_lam is the number of 0/1 matrices with row sums lam
 and column sums mu, and in p_lam it is the number of ways to place the parts
 of lam on len(mu) variables so that the exponents come out as mu.  Every
-other conversion is one exact inversion and product of those matrices;
-triangularity guarantees the solves are unique.
+other conversion uses the counted rows, then triangular substitution along
+dominance order: both matrices are triangular up to a scalar in that order,
+so m_lam is the row of its lead element (e_lam' or p_lam) less the m_mu
+already rewritten, over its diagonal entry; e <-> p goes through m.
 
 Brute-force expansion into honest variables t_1..t_n (a MultiPoly, see
 expand_in_vars) is kept as the test oracle for the counted rows.
@@ -222,11 +224,6 @@ class SymPoly:
     def weights(self) -> list:
         return sorted({sum(lam) for lam in self.terms})
 
-    def homogeneous_part(self, w: int) -> "SymPoly":
-        return SymPoly(
-            self.basis, {lam: c for lam, c in self.terms.items() if sum(lam) == w}
-        )
-
     def __repr__(self) -> str:
         body = ", ".join(
             f"{lam}: {c}" for lam, c in sorted(self.terms.items(), key=lambda t: sort_key(t[0]))
@@ -272,54 +269,7 @@ def collect_symmetric_to_m(mp: MultiPoly, strict: bool = True) -> SymPoly:
     return SymPoly("m", terms)
 
 
-# --- exact linear algebra over Fraction ------------------------------------
-
-
-def _identity(n: int):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _matmul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = Fraction(0)
-            for t in range(k):
-                if a[i][t]:
-                    acc += a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _invert(matrix):
-    n = len(matrix)
-    a = [list(row) for row in matrix]
-    inv = [list(row) for row in _identity(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-        scale = Fraction(1) / a[col][col]
-        a[col] = [x * scale for x in a[col]]
-        inv[col] = [x * scale for x in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
-
-
-# --- conversion matrices ----------------------------------------------------
+# --- basis conversion ------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -347,32 +297,48 @@ def _coefficient(basis: str, lam: Partition, mu: Partition) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
-def _basis_to_m_matrix(basis: str, n: int):
-    """Rows: e or p basis elements of weight n; columns: m-coefficients."""
-    parts = partitions_of(n)
-    return tuple(
-        tuple(Fraction(_coefficient(basis, lam, mu)) for mu in parts)
-        for lam in parts
-    )
+def _conjugate(lam: Partition) -> Partition:
+    return tuple(sum(p > i for p in lam) for i in range(lam[0] if lam else 0))
 
 
 @lru_cache(maxsize=None)
-def _m_to_basis_matrix(basis: str, n: int):
-    return _invert(_basis_to_m_matrix(basis, n))
+def _m_in(basis: str, lam: Partition) -> dict:
+    """m_lam in the e or p basis, as a map from partitions to Fractions.
+
+    With lead = lam' for e and lead = lam for p, the counted row of the lead
+    element is c * m_lam plus m_mu terms with mu strictly below lam (e) or
+    strictly above it (p) in dominance order (Macdonald I (2.3), (6.9)), so
+    m_lam = (lead - sum_mu c_mu m_mu) / c by substitution along that order.
+    The map is cached and shared; callers must not mutate it.
+    """
+    lead = _conjugate(lam) if basis == "e" else lam
+    out = {lead: Fraction(1)}
+    for mu in partitions_of(sum(lam)):
+        c = _coefficient(basis, lead, mu) if mu != lam else 0
+        if c:
+            for nu, q in _m_in(basis, mu).items():
+                out[nu] = out.get(nu, 0) - c * q
+    scale = _coefficient(basis, lead, lam)
+    return {nu: q / scale for nu, q in out.items() if q}
 
 
 @lru_cache(maxsize=None)
-def _conversion_matrix(src: str, dst: str, n: int):
-    """C with src_lam = sum_mu C[lam][mu] dst_mu, over partitions of n."""
-    if src == dst:
-        return _identity(len(partitions_of(n)))
+def _row(src: str, dst: str, lam: Partition) -> dict:
+    """src_lam in the dst basis, as a cached map that must not be mutated."""
     if src == "m":
-        return _m_to_basis_matrix(dst, n)
-    s = _basis_to_m_matrix(src, n)
+        return _m_in(dst, lam)
+    row = {}
+    for mu in partitions_of(sum(lam)):
+        c = _coefficient(src, lam, mu)
+        if c:
+            row[mu] = Fraction(c)
     if dst == "m":
-        return s
-    return _matmul(s, _m_to_basis_matrix(dst, n))
+        return row
+    out: dict = {}
+    for mu, c in row.items():
+        for nu, q in _m_in(dst, mu).items():
+            out[nu] = out.get(nu, 0) + c * q
+    return out
 
 
 def e_to_m_matrix(n: int):
@@ -385,7 +351,10 @@ def e_to_m_matrix(n: int):
     """
     if n < 1:
         raise ValueError("weight must be >= 1")
-    return [list(row) for row in _basis_to_m_matrix("e", n)]
+    parts = partitions_of(n)
+    return [
+        [Fraction(_coefficient("e", lam, mu)) for mu in parts] for lam in parts
+    ]
 
 
 def to_basis(f: SymPoly, target: str) -> SymPoly:
@@ -395,21 +364,9 @@ def to_basis(f: SymPoly, target: str) -> SymPoly:
     if f.basis == target:
         return f
     out: dict = {}
-    for w in f.weights():
-        if w == 0:
-            out[()] = out.get((), Fraction(0)) + f.terms[()]
-            continue
-        parts = partitions_of(w)
-        conv = _conversion_matrix(f.basis, target, w)
-        comp = f.homogeneous_part(w).terms
-        for i, lam in enumerate(parts):
-            a = comp.get(lam)
-            if not a:
-                continue
-            row = conv[i]
-            for j, mu in enumerate(parts):
-                if row[j]:
-                    out[mu] = out.get(mu, Fraction(0)) + a * row[j]
+    for lam, a in f.terms.items():
+        for mu, c in _row(f.basis, target, lam).items():
+            out[mu] = out.get(mu, Fraction(0)) + a * c
     return SymPoly(target, out)
 
 

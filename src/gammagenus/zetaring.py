@@ -214,14 +214,17 @@ def zeta_hom(f: SymPoly) -> ZetaPoly:
 # --- multiple zeta symbols ----------------------------------------------------
 
 
+class DivergentMzvError(ValueError):
+    """Raised for compositions with first entry < 2 (the series diverges)."""
+
+
 def check_convergent_composition(args) -> tuple:
     comp = tuple(args)
     if not comp or not all(isinstance(i, int) and i >= 1 for i in comp):
         raise ValueError(f"composition entries must be integers >= 1: {args!r}")
     if comp[0] < 2:
-        raise ValueError(
-            f"composition {comp} starts with {comp[0]}; need a first entry >= 2 "
-            "for a convergent multiple zeta value"
+        raise DivergentMzvError(
+            f"zeta{comp} diverges: the first argument must be >= 2"
         )
     return comp
 

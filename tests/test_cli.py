@@ -1,13 +1,22 @@
 """End-to-end CLI tests: real subprocesses, exit codes, and JSON contracts."""
 
+import hashlib
 import json
 import resource
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gammagenus import cli
+
+
+GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run_cli(*args):
@@ -95,6 +104,22 @@ def test_qgenus_degree_budget_fits_in_1gb():
     )
     assert res.returncode == 0, res.stderr
     assert len(res.stdout.splitlines()) == 12
+    assert _sha256(res.stdout) == (
+        "3bae639d52afce93ee9671e3282574b619ca2258bfda5d33f53390e0f64b457c"
+    )
+
+
+GOLDEN_COMMANDS = {
+    "qgenus-10": ("qgenus", "--max", "10"),
+    "verify-all": ("verify", "--suite", "all"),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_COMMANDS))
+def test_stdout_matches_benchmark_golden(golden):
+    res = run_cli(*GOLDEN_COMMANDS[golden])
+    assert res.returncode == 0, res.stderr
+    assert _sha256(res.stdout) == json.loads(GOLDENS.read_text())[golden]
 
 
 def test_crash_has_its_own_exit_code(monkeypatch, capsys):
@@ -139,8 +164,9 @@ def test_mzv_malformed_args():
     assert res.returncode == 2
 
 
-def test_mzv_bad_tol():
-    res = run_cli("mzv", "--args", "2", "--tol", "0")
+@pytest.mark.parametrize("tol", ["0", "nan"])
+def test_mzv_bad_tol(tol):
+    res = run_cli("mzv", "--args", "2", "--tol", tol)
     assert res.returncode == 2
     assert "--tol" in res.stderr
 

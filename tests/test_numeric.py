@@ -19,7 +19,6 @@ from gammagenus.numeric import (
     DivergentMzvError,
     GAMMA_DECIMAL,
     PI_DECIMAL,
-    check_composition,
     eval_mzv_terms,
     eval_qsym,
     eval_zeta_poly,
@@ -81,17 +80,6 @@ def test_bounded_value_json():
     data = x.to_json()
     assert set(data) == {"value", "bound"}
     assert BoundedValue.from_json(data).value == 0.25
-
-
-def test_check_composition():
-    assert check_composition((2, 1)) == (2, 1)
-    assert check_composition([3]) == (3,)
-    with pytest.raises(DivergentMzvError):
-        check_composition((1, 2))
-    with pytest.raises(ValueError):
-        check_composition(())
-    with pytest.raises(ValueError):
-        check_composition((2, 0))
 
 
 def test_tail_integral_r0():

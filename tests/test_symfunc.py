@@ -14,7 +14,7 @@ from gammagenus.partitions import partitions_of
 from gammagenus.symfunc import (
     MultiPoly,
     SymPoly,
-    _basis_to_m_matrix,
+    _coefficient,
     collect_symmetric_to_m,
     e_to_m_matrix,
     expand_in_vars,
@@ -106,11 +106,24 @@ def test_e_to_m_matrix_symmetric(n):
         for j in range(size):
             assert mat[i][j] == mat[j][i]
     # the counted e and p rows match the brute-force expansion oracle
+    oracle = {}
     for basis in ("e", "p"):
-        for lam, row in zip(parts, _basis_to_m_matrix(basis, n)):
+        for lam in parts:
             f = SymPoly.basis_element(basis, lam)
-            oracle = collect_symmetric_to_m(expand_in_vars(f, n)).terms
-            assert list(row) == [oracle.get(mu, 0) for mu in parts]
+            oracle[basis, lam] = collect_symmetric_to_m(expand_in_vars(f, n)).terms
+            row = [_coefficient(basis, lam, mu) for mu in parts]
+            assert row == [oracle[basis, lam].get(mu, 0) for mu in parts]
+    # and so does m_lam rewritten in e and p by triangular substitution:
+    # expanding sum_nu c_nu target_nu in n variables must give m_lam back,
+    # summed here in the m basis from the expansions above
+    for lam in parts:
+        for target in ("e", "p"):
+            got: dict = {}
+            m = SymPoly.basis_element("m", lam)
+            for nu, c in to_basis(m, target).terms.items():
+                for mu, k in oracle[target, nu].items():
+                    got[mu] = got.get(mu, 0) + c * k
+            assert {mu: c for mu, c in got.items() if c} == {lam: 1}
 
 
 def test_e2_in_power_sums():

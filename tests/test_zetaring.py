@@ -4,6 +4,7 @@ import pytest
 
 from gammagenus.symfunc import SymPoly
 from gammagenus.zetaring import (
+    DivergentMzvError,
     GAMMA,
     MzvTerm,
     MzvValue,
@@ -119,7 +120,8 @@ def test_zeta_hom_is_weight_graded():
 
 def test_check_convergent_composition():
     assert check_convergent_composition((2, 1)) == (2, 1)
-    with pytest.raises(ValueError):
+    assert check_convergent_composition([3]) == (3,)
+    with pytest.raises(DivergentMzvError, match="diverges"):
         check_convergent_composition((1, 2))
     with pytest.raises(ValueError):
         check_convergent_composition(())
