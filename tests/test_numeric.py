@@ -82,6 +82,21 @@ def test_bounded_value_json():
     assert BoundedValue.from_json(data).value == 0.25
 
 
+def test_check_composition():
+    # mzv and mzv_info validate their composition before any summation
+    mp.dps = 30
+    for args in ([3], (3,)):
+        v, _ = mzv_info(args, 1e-6)
+        assert abs(v.value - float(mp.zeta(3))) <= v.bound
+    for entry in (mzv, mzv_info):
+        with pytest.raises(DivergentMzvError, match="diverges"):
+            entry((1, 2), 1e-6)
+        with pytest.raises(ValueError):
+            entry((), 1e-6)
+        with pytest.raises(ValueError):
+            entry((2, 0), 1e-6)
+
+
 def test_tail_integral_r0():
     # with no log factors the closed form is N^(1-s)/(s-1)
     assert tail_integral(100.0, 3, 0, 0) == pytest.approx(100.0**-2 / 2, rel=1e-12)
