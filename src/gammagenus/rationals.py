@@ -1,4 +1,11 @@
-"""Exact rational <-> string helpers shared by the JSON interfaces."""
+"""Exact rationals: the JSON spelling "p/q" and the sparse linear-combination base.
+
+LinearCombination is the one storage policy behind SymPoly (partitions),
+QsymPoly (words), ZetaPoly (ring monomials), MzvValue (products of MZV
+atoms) and MultiPoly (exponent vectors): a dict from a canonical key to a
+nonzero exact coefficient, with the sums, scalings, equality and key-wise
+products that policy implies.
+"""
 
 from __future__ import annotations
 
@@ -18,3 +25,87 @@ def frac_from_str(s: str) -> Fraction:
         num, den = text.split("/", 1)
         return Fraction(int(num), int(den))
     return Fraction(int(text))
+
+
+class LinearCombination:
+    """Sparse exact linear combination: canonical key -> nonzero coefficient.
+
+    The constructor is the entry for outside input.  Every key goes through
+    the subclass hook ``_key``, which canonicalises it or raises ValueError,
+    and every coefficient through ``_coeff``; keys that coincide merge and
+    zero coefficients are dropped.  Sums, scalings and products of canonical
+    operands have canonical keys already, so they are built by ``_like``,
+    which only drops zeros.
+
+    A subclass's own ``__slots__`` name its extra state (SymPoly.basis,
+    MultiPoly.nvars).  Results carry that state over, equality compares it,
+    and combining operands whose state differs raises ValueError with the
+    subclass's ``_mismatch`` message.
+    """
+
+    __slots__ = ("terms",)
+    _coeff = staticmethod(Fraction)
+
+    def __init__(self, terms=None):
+        clean: dict = {}
+        for key, c in (terms or {}).items():
+            key, c = self._key(key), self._coeff(c)
+            if c:
+                prev = clean.get(key)
+                clean[key] = c if prev is None else prev + c
+        self.terms = {k: c for k, c in clean.items() if c}
+
+    @classmethod
+    def zero(cls, *state):
+        return cls(*state)
+
+    def _like(self, terms: dict):
+        """An instance with self's class and state holding the nonzero terms."""
+        out = object.__new__(type(self))
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.terms = {k: c for k, c in terms.items() if c}
+        return out
+
+    def _check_compatible(self, other) -> None:
+        if any(getattr(self, n) != getattr(other, n) for n in self.__slots__):
+            raise ValueError(self._mismatch)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+            and self.terms == other.terms
+        )
+
+    def __add__(self, other):
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            prev = out.get(key)
+            out[key] = c if prev is None else prev + c
+        return self._like(out)
+
+    def __sub__(self, other):
+        return self + other.scaled(-1)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def scaled(self, q):
+        q = self._coeff(q)
+        return self._like({key: c * q for key, c in self.terms.items()})
+
+    def _combine(self, other, key_fn):
+        """Product that multiplies coefficients and joins keys with key_fn."""
+        self._check_compatible(other)
+        out: dict = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key, c = key_fn(k1, k2), c1 * c2
+                prev = out.get(key)
+                out[key] = c if prev is None else prev + c
+        return self._like(out)

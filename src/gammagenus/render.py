@@ -6,17 +6,30 @@ spellings in for scripts that cannot take UTF-8.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .partitions import sort_key
 from .zetaring import GAMMA, PI2, ZetaPoly, generator_weight
 
 
-def format_fraction(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+def _signed_sum(terms) -> str:
+    """Join (coefficient, body) pairs as "a - b + c", or "0" for no pairs.
+
+    A piece is |coefficient| and its body, the body alone when |coefficient|
+    is 1, and |coefficient| alone when the body is empty (a constant).
+    """
+    pieces = []
+    for c, body in terms:
+        q = abs(c)
+        if not body:
+            text = str(q)
+        elif q == 1:
+            text = body
+        else:
+            text = f"{q} {body}"
+        pieces.append(("- " if c < 0 else "+ ") + text)
+    if not pieces:
+        return "0"
+    out = " ".join(pieces)
+    return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def _generator_text(name: str, power: int, ascii_mode: bool) -> str:
@@ -32,23 +45,10 @@ def _generator_text(name: str, power: int, ascii_mode: bool) -> str:
 
 
 def format_zeta_poly(p: ZetaPoly, ascii_mode: bool = False) -> str:
-    if not p:
-        return "0"
-    pieces = []
-    for mono, c in p.sorted_terms():
-        body = " ".join(_generator_text(n, e, ascii_mode) for n, e in mono)
-        if not body:
-            text = format_fraction(abs(c))
-        elif abs(c) == 1:
-            text = body
-        else:
-            text = f"{format_fraction(abs(c))} {body}"
-        pieces.append(("-" if c < 0 else "+", text))
-    sign, first = pieces[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
+    return _signed_sum(
+        (c, " ".join(_generator_text(n, e, ascii_mode) for n, e in mono))
+        for mono, c in p.sorted_terms()
+    )
 
 
 def format_word(w) -> str:
@@ -58,24 +58,7 @@ def format_word(w) -> str:
 
 
 def format_qsym(q) -> str:
-    terms = q.sorted_terms()
-    if not terms:
-        return "0"
-    pieces = []
-    for w, c in terms:
-        body = format_word(w)
-        if abs(c) == 1 and w:
-            text = body
-        elif not w:
-            text = format_fraction(abs(c))
-        else:
-            text = f"{format_fraction(abs(c))} {body}"
-        pieces.append(("-" if c < 0 else "+", text))
-    sign, first = pieces[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
+    return _signed_sum((c, format_word(w) if w else "") for w, c in q.sorted_terms())
 
 
 def format_c_monomial(lam) -> str:
@@ -97,21 +80,7 @@ def format_mzv_args(args, ascii_mode: bool = False) -> str:
 
 
 def format_mzv_terms(terms, ascii_mode: bool = False) -> str:
-    if not terms:
-        return "0"
-    pieces = []
-    for t in terms:
-        body = format_mzv_args(t.args, ascii_mode)
-        if abs(t.coeff) == 1:
-            text = body
-        else:
-            text = f"{format_fraction(abs(t.coeff))} {body}"
-        pieces.append(("-" if t.coeff < 0 else "+", text))
-    sign, first = pieces[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, text in pieces[1:]:
-        out += f" {sign} {text}"
-    return out
+    return _signed_sum((t.coeff, format_mzv_args(t.args, ascii_mode)) for t in terms)
 
 
 def format_genus_line(gp, ascii_mode: bool = False) -> str:

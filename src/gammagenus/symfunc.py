@@ -1,17 +1,19 @@
 """Symmetric functions over exact rationals in the m / e / p bases.
 
 A SymPoly is a basis tag plus a sparse map from partitions to rational
-coefficients.  The e->m and p->m transition matrices are counted directly
-(Macdonald, Symmetric Functions and Hall Polynomials, ch. I sec. 6): the
-coefficient of m_mu in e_lam is the number of 0/1 matrices with row sums lam
-and column sums mu, and in p_lam it is the number of ways to place the parts
-of lam on len(mu) variables so that the exponents come out as mu.  Every
+coefficients, stored and combined by rationals.LinearCombination.  The e->m
+and p->m transition matrices are counted directly (Macdonald, Symmetric
+Functions and Hall Polynomials, ch. I sec. 6): the coefficient of m_mu in
+e_lam is the number of 0/1 matrices with row sums lam and column sums mu,
+and in p_lam it is the number of ways to place the parts of lam on len(mu)
+variables so that the exponents come out as mu.  Every
 other conversion uses the counted rows, then triangular substitution along
 dominance order: both matrices are triangular up to a scalar in that order,
 so m_lam is the row of its lead element (e_lam' or p_lam) less the m_mu
 already rewritten, over its diagonal entry; e <-> p goes through m.
 
-Brute-force expansion into honest variables t_1..t_n (a MultiPoly, see
+Brute-force expansion into honest variables t_1..t_n (a MultiPoly, the
+same linear-combination storage keyed by exponent vectors; see
 expand_in_vars) is kept as the test oracle for the counted rows.
 """
 
@@ -21,79 +23,43 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import add
 
 from .partitions import Partition, as_partition, partitions_of, sort_key
-from .rationals import frac_from_str, frac_str
+from .rationals import LinearCombination, frac_from_str, frac_str
 
 BASES = ("m", "e", "p")
 
 
-class MultiPoly:
+class MultiPoly(LinearCombination):
     """Sparse polynomial in t_1..t_n with exact coefficients.
 
     Keys are exponent tuples of length ``nvars``.  Coefficients are ints or
-    Fractions (both exact); zeros are never stored.
+    Fractions (both exact), stored as given; zeros are never stored.
     """
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars",)
+    _mismatch = "variable counts differ"
+    _coeff = staticmethod(lambda c: c)
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = int(nvars)
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                key = tuple(exps)
-                if len(key) != self.nvars:
-                    raise ValueError(
-                        f"exponent vector {key} does not have {self.nvars} entries"
-                    )
-                if c:
-                    clean[key] = clean.get(key, 0) + c
-        self.terms = {k: c for k, c in clean.items() if c}
+        super().__init__(terms)
 
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
+    def _key(self, exps) -> tuple:
+        key = tuple(exps)
+        if len(key) != self.nvars:
+            raise ValueError(
+                f"exponent vector {key} does not have {self.nvars} entries"
+            )
+        return key
 
     @classmethod
     def one(cls, nvars: int) -> "MultiPoly":
         return cls(nvars, {(0,) * nvars: 1})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultiPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            out[exps] = out.get(exps, 0) + c
-        return MultiPoly(self.nvars, out)
-
-    def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "MultiPoly":
-        if not c:
-            return MultiPoly.zero(self.nvars)
-        return MultiPoly(self.nvars, {e: c * v for e, v in self.terms.items()})
-
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("variable counts differ")
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return MultiPoly(self.nvars, out)
+        return self._combine(other, lambda e1, e2: tuple(map(add, e1, e2)))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {self.terms!r})"
@@ -156,70 +122,31 @@ def _expand_element(basis: str, lam: Partition, n: int) -> MultiPoly:
     return out
 
 
-class SymPoly:
+class SymPoly(LinearCombination):
     """Symmetric function written in one of the bases "m", "e", "p"."""
 
-    __slots__ = ("basis", "terms")
+    __slots__ = ("basis",)
+    _mismatch = "mixed-basis addition; convert explicitly first"
+    _key = staticmethod(as_partition)
 
     def __init__(self, basis: str, terms=None):
         if basis not in BASES:
             raise ValueError(f"basis must be one of {BASES}, got {basis!r}")
         self.basis = basis
-        clean: dict = {}
-        for lam, c in (terms or {}).items():
-            q = Fraction(c)
-            if q:
-                key = as_partition(lam)
-                q0 = clean.get(key)
-                clean[key] = q if q0 is None else q0 + q
-        self.terms = {k: c for k, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls, basis: str) -> "SymPoly":
-        return cls(basis)
+        super().__init__(terms)
 
     @classmethod
     def basis_element(cls, basis: str, lam) -> "SymPoly":
         return cls(basis, {as_partition(lam): Fraction(1)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SymPoly)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        if self.basis != other.basis:
-            raise ValueError("mixed-basis addition; convert explicitly first")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out.get(lam, Fraction(0)) + c
-        return SymPoly(self.basis, out)
-
-    def __sub__(self, other: "SymPoly") -> "SymPoly":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "SymPoly":
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "SymPoly":
-        q = Fraction(c)
-        return SymPoly(self.basis, {lam: q * v for lam, v in self.terms.items()})
-
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         """Product, routed through the p basis where it is free."""
         fp = to_basis(self, "p")
-        gp = to_basis(other, "p")
-        out: dict = {}
-        for lam, a in fp.terms.items():
-            for mu, b in gp.terms.items():
-                key = tuple(sorted(lam + mu, reverse=True))
-                out[key] = out.get(key, Fraction(0)) + a * b
-        return to_basis(SymPoly("p", out), self.basis)
+        product = fp._combine(
+            to_basis(other, "p"),
+            lambda lam, mu: tuple(sorted(lam + mu, reverse=True)),
+        )
+        return to_basis(product, self.basis)
 
     def weights(self) -> list:
         return sorted({sum(lam) for lam in self.terms})

@@ -57,8 +57,6 @@ from .zetaring import (
 
 SEED = 20318
 
-SUITES = ("symbolic", "words", "numeric")
-
 
 @dataclass
 class CheckRecord:
@@ -112,13 +110,11 @@ def _record(check_id, description, ok, expected="", actual="", bound=""):
     )
 
 
-def _guard(records, check_id, description, fn):
+def _guard(check_id, description, fn):
     try:
-        records.append(fn(check_id, description))
+        return fn(check_id, description)
     except Exception as exc:  # a crashed check is a failed check
-        records.append(
-            _record(check_id, description, False, actual=f"raised {exc!r}")
-        )
+        return _record(check_id, description, False, actual=f"raised {exc!r}")
 
 
 # --- symbolic -------------------------------------------------------------------
@@ -219,66 +215,6 @@ def _check_word_route(cid, desc):
         if direct != through:
             bad.append(lam)
     return _record(cid, desc, not bad, "none", f"mismatches at {bad}" if bad else "none")
-
-
-def _symbolic_checks():
-    records = []
-    _guard(records, "sym.q1", "Q_1 equals γ c_1", _check_q1)
-    _guard(
-        records,
-        "sym.q2-c1sq",
-        "coefficient of c_1^2 in Q_2 is (γ^2 - ζ(2))/2",
-        _check_q2_c1sq,
-    )
-    _guard(
-        records,
-        "sym.q3-c1cube",
-        "coefficient of c_1^3 in Q_3 is ζ(3)/3 - γζ(2)/2 + γ^3/6",
-        _check_q3_c1cube,
-    )
-    _guard(
-        records,
-        "sym.leading",
-        "coefficient of c_i in Q_i is ζ(i) for i = 2..8",
-        _check_leading,
-    )
-    _guard(
-        records,
-        "sym.m22",
-        "ζ of m_(2,2) equals (3/4) ζ(4)",
-        _check_m22,
-    )
-    _guard(
-        records,
-        "sym.m62",
-        "ζ(2)ζ(6) - ζ(8) equals (2/3) ζ(8), matching ζ of m_(6,2)",
-        _check_m62,
-    )
-    _guard(
-        records,
-        "sym.oracle",
-        "generating-product oracle matches Q_i for i = 1..4",
-        _check_oracle,
-    )
-    _guard(
-        records,
-        "sym.matrix-symmetry",
-        "elementary-to-monomial transition matrix is symmetric, n = 1..6",
-        _check_matrix_symmetry,
-    )
-    _guard(
-        records,
-        "sym.homogeneity",
-        "Q_i coefficients are weight-i homogeneous with p(i) terms, i <= 6",
-        _check_homogeneity,
-    )
-    _guard(
-        records,
-        "sym.word-route",
-        "word-algebra route to ζ(m_lam) agrees with the p-basis route",
-        _check_word_route,
-    )
-    return records
 
 
 # --- words ----------------------------------------------------------------------
@@ -455,72 +391,6 @@ def _check_sym_homomorphism(cid, desc):
     return _record(cid, desc, not bad, "none", f"{bad}" if bad else "none")
 
 
-def _words_checks():
-    records = []
-    _guard(records, "words.unit", "empty word is the stuffle unit", _check_unit_law)
-    _guard(
-        records,
-        "words.stuffle-2-6",
-        "z_2 * z_6 = z_2z_6 + z_6z_2 + z_8",
-        _check_stuffle_26,
-    )
-    _guard(
-        records,
-        "words.stuffle-1-2",
-        "z_1 * z_2 = z_1z_2 + z_2z_1 + z_3",
-        _check_stuffle_12,
-    )
-    _guard(
-        records,
-        "words.commutative",
-        "stuffle commutes (exhaustive weight <= 4, random weight <= 7)",
-        _check_commutative,
-    )
-    _guard(
-        records,
-        "words.associative",
-        "stuffle associates (exhaustive weight <= 3, random weight <= 6)",
-        _check_associative,
-    )
-    _guard(
-        records,
-        "words.weight-additive",
-        "stuffle products are homogeneous of the summed weight",
-        _check_weight_additive,
-    )
-    _guard(
-        records,
-        "words.lyndon-z1",
-        "z_1 is the only Lyndon word starting with z_1, weight <= 6",
-        _check_lyndon_z1,
-    )
-    _guard(
-        records,
-        "words.lyndon-counts",
-        "Lyndon word counts for weights 1..5 are 1,1,2,3,6",
-        _check_lyndon_counts,
-    )
-    _guard(
-        records,
-        "words.cfl-roundtrip",
-        "Lyndon factorization is nonincreasing and concatenates back",
-        _check_cfl_roundtrip,
-    )
-    _guard(
-        records,
-        "words.decompose-roundtrip",
-        "Lyndon decomposition inverts through the stuffle product",
-        _check_decompose_roundtrip,
-    )
-    _guard(
-        records,
-        "words.sym-homomorphism",
-        "sym_to_words carries products to stuffle products",
-        _check_sym_homomorphism,
-    )
-    return records
-
-
 # --- numeric --------------------------------------------------------------------
 
 
@@ -634,79 +504,89 @@ def _check_stuffle_numeric(cid, desc):
     return _record(cid, desc, not bad, "none", f"{bad}" if bad else "none")
 
 
-def _numeric_checks():
-    records = []
-    _guard(
-        records,
-        "num.zeta2",
-        "summation of ζ(2) meets π^2/6 within bounds at tol 1e-8",
-        _check_zeta2,
-    )
-    _guard(
-        records,
-        "num.zeta22",
-        "ζ(2,2) meets (3/4) ζ(4) within bounds",
-        _check_zeta22,
-    )
-    _guard(
-        records,
-        "num.zeta62",
-        "ζ(6,2)+ζ(2,6) meets (2/3) ζ(8) within bounds",
-        _check_zeta62,
-    )
-    _guard(
-        records,
-        "num.doubling",
-        "doubling the cutoff moves values less than the reported bound",
-        _check_doubling,
-    )
-    _guard(
-        records,
-        "num.taylor",
-        "1/Γ Taylor coefficients match ζ(e_i) within bounds, i <= 8",
-        _check_taylor,
-    )
-    _guard(
-        records,
-        "num.product-validation",
-        "Taylor series validates against the Weierstrass product",
-        _check_product_validation,
-    )
-    _guard(
-        records,
-        "num.gamma-limit",
-        "stored γ matches H_n - ln n - 1/2n at n = 10^6",
-        _check_gamma_limit,
-    )
-    _guard(
-        records,
-        "num.pi2-series",
-        "stored π^2 matches 6 Σ n^-2 plus tail at n = 10^6",
-        _check_pi2_series,
-    )
-    _guard(
-        records,
-        "num.cy-consistency",
-        "MZV expansions match ζ(m_lam) numerically, weight <= 6",
-        _check_cy_consistency,
-    )
-    _guard(
-        records,
-        "num.stuffle-numeric",
-        "ζ is multiplicative across the stuffle product, sample pairs",
-        _check_stuffle_numeric,
-    )
-    return records
+# --- the suites -----------------------------------------------------------------
+
+# (suite, id, description, check), in the order the checks run and print
+CHECKS = (
+    ("symbolic", "sym.q1", "Q_1 equals γ c_1", _check_q1),
+    ("symbolic", "sym.q2-c1sq", "coefficient of c_1^2 in Q_2 is (γ^2 - ζ(2))/2",
+     _check_q2_c1sq),
+    ("symbolic", "sym.q3-c1cube",
+     "coefficient of c_1^3 in Q_3 is ζ(3)/3 - γζ(2)/2 + γ^3/6", _check_q3_c1cube),
+    ("symbolic", "sym.leading", "coefficient of c_i in Q_i is ζ(i) for i = 2..8",
+     _check_leading),
+    ("symbolic", "sym.m22", "ζ of m_(2,2) equals (3/4) ζ(4)", _check_m22),
+    ("symbolic", "sym.m62", "ζ(2)ζ(6) - ζ(8) equals (2/3) ζ(8), matching ζ of m_(6,2)",
+     _check_m62),
+    ("symbolic", "sym.oracle", "generating-product oracle matches Q_i for i = 1..4",
+     _check_oracle),
+    ("symbolic", "sym.matrix-symmetry",
+     "elementary-to-monomial transition matrix is symmetric, n = 1..6",
+     _check_matrix_symmetry),
+    ("symbolic", "sym.homogeneity",
+     "Q_i coefficients are weight-i homogeneous with p(i) terms, i <= 6",
+     _check_homogeneity),
+    ("symbolic", "sym.word-route",
+     "word-algebra route to ζ(m_lam) agrees with the p-basis route", _check_word_route),
+    ("words", "words.unit", "empty word is the stuffle unit", _check_unit_law),
+    ("words", "words.stuffle-2-6", "z_2 * z_6 = z_2z_6 + z_6z_2 + z_8",
+     _check_stuffle_26),
+    ("words", "words.stuffle-1-2", "z_1 * z_2 = z_1z_2 + z_2z_1 + z_3",
+     _check_stuffle_12),
+    ("words", "words.commutative",
+     "stuffle commutes (exhaustive weight <= 4, random weight <= 7)",
+     _check_commutative),
+    ("words", "words.associative",
+     "stuffle associates (exhaustive weight <= 3, random weight <= 6)",
+     _check_associative),
+    ("words", "words.weight-additive",
+     "stuffle products are homogeneous of the summed weight", _check_weight_additive),
+    ("words", "words.lyndon-z1",
+     "z_1 is the only Lyndon word starting with z_1, weight <= 6", _check_lyndon_z1),
+    ("words", "words.lyndon-counts",
+     "Lyndon word counts for weights 1..5 are 1,1,2,3,6", _check_lyndon_counts),
+    ("words", "words.cfl-roundtrip",
+     "Lyndon factorization is nonincreasing and concatenates back",
+     _check_cfl_roundtrip),
+    ("words", "words.decompose-roundtrip",
+     "Lyndon decomposition inverts through the stuffle product",
+     _check_decompose_roundtrip),
+    ("words", "words.sym-homomorphism",
+     "sym_to_words carries products to stuffle products", _check_sym_homomorphism),
+    ("numeric", "num.zeta2", "summation of ζ(2) meets π^2/6 within bounds at tol 1e-8",
+     _check_zeta2),
+    ("numeric", "num.zeta22", "ζ(2,2) meets (3/4) ζ(4) within bounds", _check_zeta22),
+    ("numeric", "num.zeta62", "ζ(6,2)+ζ(2,6) meets (2/3) ζ(8) within bounds",
+     _check_zeta62),
+    ("numeric", "num.doubling",
+     "doubling the cutoff moves values less than the reported bound", _check_doubling),
+    ("numeric", "num.taylor",
+     "1/Γ Taylor coefficients match ζ(e_i) within bounds, i <= 8", _check_taylor),
+    ("numeric", "num.product-validation",
+     "Taylor series validates against the Weierstrass product",
+     _check_product_validation),
+    ("numeric", "num.gamma-limit", "stored γ matches H_n - ln n - 1/2n at n = 10^6",
+     _check_gamma_limit),
+    ("numeric", "num.pi2-series", "stored π^2 matches 6 Σ n^-2 plus tail at n = 10^6",
+     _check_pi2_series),
+    ("numeric", "num.cy-consistency",
+     "MZV expansions match ζ(m_lam) numerically, weight <= 6", _check_cy_consistency),
+    ("numeric", "num.stuffle-numeric",
+     "ζ is multiplicative across the stuffle product, sample pairs",
+     _check_stuffle_numeric),
+)
+
+SUITES = tuple(dict.fromkeys(suite for suite, _, _, _ in CHECKS))
 
 
 def run_suite(name: str) -> Report:
-    if name == "all":
-        checks = _symbolic_checks() + _words_checks() + _numeric_checks()
-        return Report("all", checks)
-    if name == "symbolic":
-        return Report("symbolic", _symbolic_checks())
-    if name == "words":
-        return Report("words", _words_checks())
-    if name == "numeric":
-        return Report("numeric", _numeric_checks())
-    raise ValueError(f"unknown suite {name!r}")
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}")
+    return Report(
+        name,
+        [
+            _guard(check_id, description, check)
+            for suite, check_id, description, check in CHECKS
+            if name in ("all", suite)
+        ],
+    )

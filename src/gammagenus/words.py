@@ -5,7 +5,9 @@ sum and depth the length.  Letters compare with z_1 > z_2 > z_3 > ..., the
 order extends lexicographically to words, and a proper prefix precedes its
 extensions.  Under this order the Lyndon words (words strictly smaller than
 every proper nonempty suffix) freely generate the stuffle algebra, which is
-what lyndon_decompose exploits.
+what lyndon_decompose exploits.  A QsymPoly is a rational linear
+combination of words, stored and combined by rationals.LinearCombination;
+its product is the stuffle.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import as_partition
-from .rationals import frac_from_str, frac_str
+from .rationals import LinearCombination, frac_from_str, frac_str
 from .symfunc import SymPoly, to_basis
 from .symfunc import _orbit_exponent_vectors
 
@@ -57,47 +59,15 @@ def words_of_weight(n: int) -> list:
     return out
 
 
-class QsymPoly:
+class QsymPoly(LinearCombination):
     """Rational linear combination of words."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict = {}
-        for w, c in (terms or {}).items():
-            q = Fraction(c)
-            if q:
-                key = check_word(w)
-                q0 = clean.get(key)
-                clean[key] = q if q0 is None else q0 + q
-        self.terms = {k: c for k, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls) -> "QsymPoly":
-        return cls()
+    __slots__ = ()
+    _key = staticmethod(check_word)
 
     @classmethod
     def from_word(cls, w) -> "QsymPoly":
         return cls({check_word(w): Fraction(1)})
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QsymPoly) and self.terms == other.terms
-
-    def __add__(self, other: "QsymPoly") -> "QsymPoly":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
-        return QsymPoly(out)
-
-    def __sub__(self, other: "QsymPoly") -> "QsymPoly":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "QsymPoly":
-        q = Fraction(c)
-        return QsymPoly({w: q * v for w, v in self.terms.items()})
 
     def __mul__(self, other: "QsymPoly") -> "QsymPoly":
         return stuffle(self, other)
@@ -151,8 +121,9 @@ def stuffle(a: QsymPoly, b: QsymPoly) -> QsymPoly:
         for v, cv in b.terms.items():
             c = cu * cv
             for w, k in _stuffle_words(u, v):
-                out[w] = out.get(w, Fraction(0)) + c * k
-    return QsymPoly(out)
+                prev = out.get(w)
+                out[w] = c * k if prev is None else prev + c * k
+    return a._like(out)
 
 
 def stuffle_word_pair(u, v) -> QsymPoly:
@@ -218,9 +189,7 @@ def lyndon_decompose(q: QsymPoly) -> dict:
     """
     result: dict = {}
     for w0 in q.weights():
-        residual = QsymPoly(
-            {w: c for w, c in q.terms.items() if sum(w) == w0}
-        )
+        residual = q._like({w: c for w, c in q.terms.items() if sum(w) == w0})
         while residual:
             pivot = residual.max_word()
             coeff = residual.terms[pivot]

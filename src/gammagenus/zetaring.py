@@ -4,12 +4,17 @@ Single zeta values at even arguments are normalized to rational multiples
 of powers of pi^2 through Euler's formula with Bernoulli numbers, so the
 ring's generators are gamma (weight 1), pi^2 (weight 2) and the odd zetas
 zeta(2k+1) (weight 2k+1).  gamma and the odd zetas are kept as independent
-atoms; no conjectural relations are ever applied.
+atoms; no conjectural relations are ever applied.  A ZetaPoly maps
+canonical monomials to rational coefficients through
+rationals.LinearCombination; a generator is spelled only GAMMA, PI2 or
+zeta_generator_name(k), with int exponents >= 0, so equal ring elements
+are equal as ZetaPolys.
 
 zeta_hom is the ring homomorphism from symmetric functions determined by
 p_1 -> gamma and p_i -> zeta(i) for i >= 2.  zeta_word extends it to the
 word algebra through the Lyndon factorization; its values live in MzvValue,
-polynomials in unevaluated multiple-zeta symbols with ZetaPoly coefficients.
+polynomials in unevaluated multiple-zeta symbols with ZetaPoly coefficients,
+the same linear-combination storage keyed by sorted tuples of atoms.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .rationals import frac_from_str, frac_str
+from .rationals import LinearCombination, frac_from_str, frac_str
 from .symfunc import SymPoly, to_basis
 from .words import QsymPoly, check_word, lyndon_decompose, sym_to_words
 
@@ -34,54 +39,43 @@ def zeta_generator_name(k: int) -> str:
 
 
 def generator_weight(name: str) -> int:
+    """Weight of a ring generator, spelled GAMMA, PI2 or zeta_generator_name(k)."""
     if name == GAMMA:
         return 1
     if name == PI2:
         return 2
-    if name.startswith("zeta"):
+    if isinstance(name, str) and name[4:].isdigit():
         k = int(name[4:])
-        if k >= 3 and k % 2 == 1:
+        if k >= 3 and k % 2 == 1 and name == f"zeta{k}":
             return k
     raise ValueError(f"unknown ring generator {name!r}")
 
 
 def _monomial(pairs) -> tuple:
-    """Canonical monomial: (name, exponent) pairs sorted by generator weight."""
+    """Canonical monomial: (name, exponent) pairs sorted by generator weight.
+
+    Exponents must be ints >= 0; zero exponents drop out and repeated names
+    merge.
+    """
     merged: dict = {}
     for name, e in pairs:
+        generator_weight(name)
+        if not isinstance(e, int) or e < 0:
+            raise ValueError(f"exponent of {name!r} must be an int >= 0: {e!r}")
         if e:
-            generator_weight(name)
             merged[name] = merged.get(name, 0) + e
-    return tuple(
-        sorted(
-            ((n, e) for n, e in merged.items() if e),
-            key=lambda t: generator_weight(t[0]),
-        )
-    )
+    return tuple(sorted(merged.items(), key=lambda t: generator_weight(t[0])))
 
 
 def monomial_weight(mono) -> int:
     return sum(generator_weight(n) * e for n, e in mono)
 
 
-class ZetaPoly:
+class ZetaPoly(LinearCombination):
     """Polynomial in the ring generators with exact rational coefficients."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict = {}
-        for mono, c in (terms or {}).items():
-            q = Fraction(c)
-            if q:
-                key = _monomial(mono)
-                q0 = clean.get(key)
-                clean[key] = q if q0 is None else q0 + q
-        self.terms = {k: c for k, c in clean.items() if c}
-
-    @classmethod
-    def zero(cls) -> "ZetaPoly":
-        return cls()
+    __slots__ = ()
+    _key = staticmethod(_monomial)
 
     @classmethod
     def constant(cls, q) -> "ZetaPoly":
@@ -95,35 +89,8 @@ class ZetaPoly:
     def generator(cls, name: str, power: int = 1) -> "ZetaPoly":
         return cls({((name, power),): Fraction(1)})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZetaPoly) and self.terms == other.terms
-
-    def __add__(self, other: "ZetaPoly") -> "ZetaPoly":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + c
-        return ZetaPoly(out)
-
-    def __sub__(self, other: "ZetaPoly") -> "ZetaPoly":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "ZetaPoly":
-        return self.scaled(-1)
-
-    def scaled(self, q) -> "ZetaPoly":
-        q = Fraction(q)
-        return ZetaPoly({mono: q * c for mono, c in self.terms.items()})
-
     def __mul__(self, other: "ZetaPoly") -> "ZetaPoly":
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = _monomial(m1 + m2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return ZetaPoly(out)
+        return self._combine(other, lambda m1, m2: _monomial(m1 + m2))
 
     def __pow__(self, k: int) -> "ZetaPoly":
         if k < 0:
@@ -256,7 +223,7 @@ class MzvTerm:
         return cls(frac_from_str(data["coeff"]), tuple(data["args"]))
 
 
-class MzvValue:
+class MzvValue(LinearCombination):
     """Polynomial in unevaluated MZV symbols with ZetaPoly coefficients.
 
     Keys are sorted tuples of convergent compositions (commuting atoms); the
@@ -265,21 +232,15 @@ class MzvValue:
     gamma to the ring part, every other Lyndon factor contributes an atom.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean: dict = {}
-        for atoms, c in (terms or {}).items():
-            key = tuple(sorted(check_convergent_composition(a) for a in atoms))
-            poly = c if isinstance(c, ZetaPoly) else ZetaPoly.constant(c)
-            if poly:
-                prev = clean.get(key)
-                clean[key] = poly if prev is None else prev + poly
-        self.terms = {k: p for k, p in clean.items() if p}
+    @staticmethod
+    def _key(atoms) -> tuple:
+        return tuple(sorted(check_convergent_composition(a) for a in atoms))
 
-    @classmethod
-    def zero(cls) -> "MzvValue":
-        return cls()
+    @staticmethod
+    def _coeff(c) -> ZetaPoly:
+        return c if isinstance(c, ZetaPoly) else ZetaPoly.constant(c)
 
     @classmethod
     def from_ring(cls, poly: ZetaPoly) -> "MzvValue":
@@ -293,34 +254,8 @@ class MzvValue:
     def from_atom(cls, composition) -> "MzvValue":
         return cls({(tuple(composition),): ZetaPoly.one()})
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MzvValue) and self.terms == other.terms
-
-    def __add__(self, other: "MzvValue") -> "MzvValue":
-        out = dict(self.terms)
-        for atoms, p in other.terms.items():
-            prev = out.get(atoms)
-            out[atoms] = p if prev is None else prev + p
-        return MzvValue(out)
-
-    def __sub__(self, other: "MzvValue") -> "MzvValue":
-        return self + other.scaled(-1)
-
-    def scaled(self, q) -> "MzvValue":
-        return MzvValue({a: p.scaled(q) for a, p in self.terms.items()})
-
     def __mul__(self, other: "MzvValue") -> "MzvValue":
-        out: dict = {}
-        for a1, p1 in self.terms.items():
-            for a2, p2 in other.terms.items():
-                key = tuple(sorted(a1 + a2))
-                p = p1 * p2
-                prev = out.get(key)
-                out[key] = p if prev is None else prev + p
-        return MzvValue(out)
+        return self._combine(other, lambda a1, a2: tuple(sorted(a1 + a2)))
 
     def zeta_part(self) -> ZetaPoly:
         """The coefficient of the empty atom monomial (the pure ring part)."""

@@ -122,6 +122,36 @@ def test_stdout_matches_benchmark_golden(golden):
     assert _sha256(res.stdout) == json.loads(GOLDENS.read_text())[golden]
 
 
+# stdout digests of outputs the benchmark goldens do not cover; the stuffle
+# pair has coefficient-2 terms, so its rendered coefficients are pinned too
+STDOUT_SHA256 = {
+    "qgenus-10-json": (
+        ("qgenus", "--max", "10", "--format", "json"),
+        "f853acd1aff5d210c19c67aad6629a67b4f680d934a9fe145ffcc4796612da72",
+    ),
+    "qgenus-10-cy-json": (
+        ("qgenus", "--max", "10", "--cy", "--format", "json"),
+        "624f844baad40b39b66e513937c3c05483979be23616d6ddd5e163c99c14786a",
+    ),
+    "stuffle-213-31": (
+        ("stuffle", "--left", "2,1,3", "--right", "3,1"),
+        "bc528d489adcbbd0dbc3a462ef4b5f725f7e7aca4f3954f4616aa7bd94707ba9",
+    ),
+    "stuffle-213-31-json": (
+        ("stuffle", "--left", "2,1,3", "--right", "3,1", "--format", "json"),
+        "3b41cfd0240d0d52efadbc91d249f340c8065c829cef172512e5e744f2cd9aee",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STDOUT_SHA256))
+def test_stdout_matches_digest(name):
+    args, digest = STDOUT_SHA256[name]
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    assert _sha256(res.stdout) == digest
+
+
 def test_crash_has_its_own_exit_code(monkeypatch, capsys):
     def boom(opts):
         raise MemoryError("out of memory")

@@ -6,7 +6,6 @@ from gammagenus.render import (
     format_bounded,
     format_c_monomial,
     format_cy_genus_line,
-    format_fraction,
     format_genus_line,
     format_mzv_args,
     format_mzv_terms,
@@ -19,18 +18,15 @@ from gammagenus.words import stuffle_word_pair
 from gammagenus.zetaring import ZetaPoly, zeta_hom
 
 
-def test_format_fraction():
-    assert format_fraction(Fraction(3)) == "3"
-    assert format_fraction(Fraction(-5, 3)) == "-5/3"
-    assert format_fraction(Fraction(1, 2)) == "1/2"
-
-
 def test_format_zeta_poly():
     p = zeta_hom(SymPoly.basis_element("e", (2,)))
     assert format_zeta_poly(p) == "1/2 γ^2 - 1/12 π^2"
     assert format_zeta_poly(p, ascii_mode=True) == "1/2 gamma^2 - 1/12 pi^2"
     assert format_zeta_poly(ZetaPoly.zero()) == "0"
     assert format_zeta_poly(ZetaPoly.constant(Fraction(3, 4))) == "3/4"
+    assert format_zeta_poly(ZetaPoly.constant(3)) == "3"
+    assert format_zeta_poly(ZetaPoly.constant(Fraction(-5, 3))) == "-5/3"
+    assert format_zeta_poly(ZetaPoly.constant(Fraction(1, 2))) == "1/2"
     gamma = ZetaPoly.generator("gamma")
     assert format_zeta_poly(-gamma) == "-γ"
     assert format_zeta_poly(gamma) == "γ"

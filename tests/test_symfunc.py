@@ -3,9 +3,12 @@
 The e->m and p->m transition rows are counted combinatorially, so these
 tests lean on an independent route, the brute-force expansion oracle:
 expand both sides in t_1..t_n and compare coefficient dictionaries.
+The storage contract that SymPoly shares with the other sparse linear
+combinations (QsymPoly, ZetaPoly, MzvValue, MultiPoly) is checked here too.
 """
 
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +25,8 @@ from gammagenus.symfunc import (
     sympoly_to_json,
     to_basis,
 )
+from gammagenus.words import QsymPoly
+from gammagenus.zetaring import MzvValue, ZetaPoly
 
 
 def test_multipoly_arithmetic():
@@ -33,11 +38,6 @@ def test_multipoly_arithmetic():
     assert x - x == MultiPoly.zero(2)
     assert (x * y).terms == {(1, 1): 1}
     assert MultiPoly.one(3).terms == {(0, 0, 0): 1}
-
-
-def test_multipoly_mul_rejects_mixed_arity():
-    with pytest.raises(ValueError):
-        MultiPoly.one(2) * MultiPoly.one(3)
 
 
 def test_multipoly_high_degree_product():
@@ -192,9 +192,53 @@ def test_product_routes_through_expansion():
     assert to_basis(prod, "e") == SymPoly.basis_element("e", (2, 1))
 
 
-def test_mixed_basis_addition_is_an_error():
-    with pytest.raises(ValueError):
-        SymPoly.basis_element("m", (1,)) + SymPoly.basis_element("e", (1,))
+# class -> (constructor from a terms dict, a key, another spelling of that
+# key, a second key, an operand whose extra state differs, the operations
+# that must reject it)
+CONTRACT = {
+    "ZetaPoly": (
+        ZetaPoly,
+        (("gamma", 1), ("pi2", 1)),
+        (("pi2", 1), ("gamma", 1)),
+        (("zeta3", 2),),
+        None,
+        (),
+    ),
+    "MzvValue": (MzvValue, ((2,), (3,)), ((3,), (2,)), ((2, 1),), None, ()),
+    "QsymPoly": (QsymPoly, (2, 1), range(2, 0, -1), (3,), None, ()),
+    "SymPoly": (
+        lambda terms: SymPoly("m", terms),
+        (2, 1),
+        range(2, 0, -1),
+        (3,),
+        SymPoly.basis_element("e", (1,)),
+        (add, sub),
+    ),
+    "MultiPoly": (
+        lambda terms: MultiPoly(2, terms),
+        (1, 0),
+        range(1, -1, -1),
+        (0, 2),
+        MultiPoly.one(3),
+        (add, sub, mul),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_linear_combination_contract(name):
+    make, key, alias, other, mismatched, rejected = CONTRACT[name]
+    merged = make({key: 1, alias: 1})
+    assert len(merged.terms) == 1
+    assert merged == make({key: 2})
+    a = make({key: Fraction(1, 2), other: -3})
+    assert (a - a).terms == {}
+    assert not a.scaled(0)
+    assert a == make({other: -3, key: Fraction(1, 2)})
+    assert a != make({key: Fraction(1, 2)})
+    for op in rejected:
+        with pytest.raises(ValueError):
+            op(a, mismatched)
 
 
 def test_json_roundtrip():

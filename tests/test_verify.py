@@ -1,5 +1,6 @@
 import pytest
 
+from gammagenus import verify
 from gammagenus.verify import SUITES, run_suite
 
 
@@ -37,6 +38,19 @@ def test_report_json_shape():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nonsense")
+
+
+def test_crashed_check_is_a_failed_check(monkeypatch):
+    def crash(cid, desc):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(
+        verify, "CHECKS", (("words", "words.crash", "always raises", crash),)
+    )
+    report = run_suite("words")
+    assert [(c.id, c.status) for c in report.checks] == [("words.crash", "fail")]
+    assert "boom" in report.checks[0].actual
+    assert run_suite("numeric").checks == []
 
 
 def test_check_ids_unique():

@@ -48,6 +48,19 @@ def test_zetapoly_monomials_are_canonical():
     b = PI2 * GAMMA_GEN
     assert a == b
     assert list(a.terms) == [((GAMMA, 1), ("pi2", 1))]
+    assert ZetaPoly.generator("zeta3") == zeta_gen(3)
+    # only the spelling zeta_generator_name(k) names zeta(k)
+    for name in ("zeta03", "zeta 3", "zeta+3", "zeta3 ", "zeta4", "zeta1", "3"):
+        with pytest.raises(ValueError):
+            ZetaPoly.generator(name)
+    # exponents are ints >= 0
+    for power in (-1, 0.5, 1.0):
+        with pytest.raises(ValueError):
+            ZetaPoly.generator(GAMMA, power)
+    with pytest.raises(ValueError):
+        zetapoly_from_json([{"monomial": {"pi2": 0.5}, "coeff": "1/1"}])
+    with pytest.raises(ValueError):
+        zetapoly_from_json([{"monomial": {"zeta03": 1}, "coeff": "1/1"}])
 
 
 def test_zetapoly_arithmetic():
