@@ -13,6 +13,9 @@ gamma and pi enter as stored decimal constants (50 digits).  Taylor
 coefficients of 1/Gamma(1+z) are produced by exponentiating the log of the
 Weierstrass product, an evaluation route that never touches the symbolic
 zeta homomorphism, so the two can be compared as independent checks.
+
+numpy is imported by the numeric routines that use it, on their first call,
+not at import, so the symbolic commands never load it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-
-import numpy as np
 
 from .zetaring import (
     DivergentMzvError,
@@ -268,6 +269,8 @@ def _dp_sum(comp, N: int):
     carries[j] = T_j(N+1) for 2 <= j <= k.  All terms are nonnegative, which
     is asserted along the way (monotone convergence in the cutoff).
     """
+    import numpy as np
+
     k = len(comp)
     partial = 0.0
     carry = {j: 0.0 for j in range(2, k + 1)}
@@ -447,6 +450,8 @@ def recip_gamma_product(z: float, terms: int = 4000) -> BoundedValue:
     tails sum_{k>=2} (-1)^(k-1) z^k/k sum_{n>M} n^-k, cut at k = 12 with an
     explicit geometric remainder.
     """
+    import numpy as np
+
     if not -0.9 <= z <= 0.9:
         raise ValueError("sample point out of the validated range")
     M = int(terms)

@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .genus import mzv_expansion, q_genus, q_genus_oracle, q_genus_cy
 from .numeric import (
     eval_mzv_terms,
@@ -458,6 +456,8 @@ def _check_product_validation(cid, desc):
 
 
 def _check_gamma_limit(cid, desc):
+    import numpy as np
+
     n = 1_000_000
     h = float(np.sum(1.0 / np.arange(1, n + 1, dtype=np.float64)))
     approx = h - math.log(n) - 1.0 / (2 * n)
@@ -469,6 +469,8 @@ def _check_gamma_limit(cid, desc):
 
 
 def _check_pi2_series(cid, desc):
+    import numpy as np
+
     n = 1_000_000
     s = float(np.sum(np.arange(1, n + 1, dtype=np.float64) ** -2.0))
     tail, _ = zeta_tail_estimate(n, 2)

@@ -11,7 +11,9 @@ zeta_generator_name(k), with int exponents >= 0, so equal ring elements
 are equal as ZetaPolys.
 
 zeta_hom is the ring homomorphism from symmetric functions determined by
-p_1 -> gamma and p_i -> zeta(i) for i >= 2.  zeta_word extends it to the
+p_1 -> gamma and p_i -> zeta(i) for i >= 2.  It reads each p_lambda of the
+power-sum expansion as one monomial with one rational factor, cached per
+lambda, and collects those terms once.  zeta_word extends it to the
 word algebra through the Lyndon factorization; its values live in MzvValue,
 polynomials in unevaluated multiple-zeta symbols with ZetaPoly coefficients,
 the same linear-combination storage keyed by sorted tuples of atoms.
@@ -164,18 +166,31 @@ def zeta_gen(i: int) -> ZetaPoly:
     return ZetaPoly.generator(zeta_generator_name(i))
 
 
+@lru_cache(maxsize=None)
+def _power_sum_image(lam: tuple) -> tuple:
+    """zeta_hom(p_lam) as (rational factor, canonical monomial)."""
+    q, pairs = Fraction(1), []
+    for part in lam:
+        if part == 1:
+            pairs.append((GAMMA, 1))
+        else:
+            ((mono, c),) = zeta_gen(part).terms.items()
+            q *= c
+            pairs += mono
+    return q, _monomial(pairs)
+
+
 def zeta_hom(f: SymPoly) -> ZetaPoly:
-    """Ring homomorphism: p_1 -> gamma, p_i -> zeta(i) for i >= 2."""
-    fp = to_basis(f, "p")
-    acc = ZetaPoly.zero()
-    for lam, c in fp.terms.items():
-        term = ZetaPoly.constant(c)
-        for part in lam:
-            term = term * (
-                ZetaPoly.generator(GAMMA) if part == 1 else zeta_gen(part)
-            )
-        acc = acc + term
-    return acc
+    """Ring homomorphism: p_1 -> gamma, p_i -> zeta(i) for i >= 2.
+
+    Every p_lambda maps to one monomial: the factors of its parts multiply
+    and their exponents add.
+    """
+    out: dict = {}
+    for lam, c in to_basis(f, "p").terms.items():
+        q, mono = _power_sum_image(lam)
+        out[mono] = out.get(mono, 0) + c * q
+    return ZetaPoly.zero()._like(out)
 
 
 # --- multiple zeta symbols ----------------------------------------------------
@@ -383,8 +398,9 @@ def zetapoly_to_json(p: ZetaPoly) -> list:
 
 
 def zetapoly_from_json(data: list) -> ZetaPoly:
-    terms = {}
+    """Inverse of zetapoly_to_json; entries whose monomials coincide add up."""
+    acc = ZetaPoly.zero()
     for entry in data:
-        mono = _monomial(tuple(entry["monomial"].items()))
-        terms[mono] = frac_from_str(entry["coeff"])
-    return ZetaPoly(terms)
+        mono = tuple(entry["monomial"].items())
+        acc = acc + ZetaPoly({mono: frac_from_str(entry["coeff"])})
+    return acc

@@ -109,6 +109,24 @@ def test_qgenus_degree_budget_fits_in_1gb():
     )
 
 
+def test_qgenus_and_stuffle_never_load_numpy():
+    script = (
+        "import sys\n"
+        "from gammagenus import cli\n"
+        "codes = [cli.main(['qgenus', '--max', '4']),\n"
+        "         cli.main(['stuffle', '--left', '2', '--right', '3'])]\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "codes.append(cli.main(['mzv', '--args', '2', '--tol', '1e-8']))\n"
+        "loaded.append('numpy' in sys.modules)\n"
+        "print(codes, loaded)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] [False, True]"
+
+
 GOLDEN_COMMANDS = {
     "qgenus-10": ("qgenus", "--max", "10"),
     "verify-all": ("verify", "--suite", "all"),

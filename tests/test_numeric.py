@@ -7,6 +7,9 @@ the value looks fine.
 """
 
 import math
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -187,6 +190,33 @@ def test_mzv_explicit_cutoff_is_honest():
     v, n = mzv_info((2,), 1e-2, cutoff=1000)
     assert n == 1000
     assert abs(v.value - float(mp.pi**2 / 6)) <= v.bound
+
+
+def test_mzv_largest_cutoff_fits_in_1gb():
+    # the CLI's ladder never picks the largest rung for (2,1), so the
+    # library call asks for it explicitly
+    mp.dps = 30
+    script = (
+        "from gammagenus.numeric import DEFAULT_MAX_CUTOFF, mzv_info\n"
+        "v, n = mzv_info((2, 1), 1e-2, cutoff=DEFAULT_MAX_CUTOFF)\n"
+        "print(repr(v.value), repr(v.bound), n)\n"
+    )
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=cap_address_space,
+    )
+    assert res.returncode == 0, res.stderr
+    value, bound, n = res.stdout.split()
+    assert int(n) == 20_000_000
+    # zeta(2,1) = zeta(3)
+    assert abs(float(value) - float(mp.zeta(3))) <= float(bound)
 
 
 def test_mzv_divergent():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from gammagenus.symfunc import SymPoly
+from gammagenus.partitions import partitions_of
+from gammagenus.symfunc import SymPoly, to_basis
 from gammagenus.zetaring import (
     DivergentMzvError,
     GAMMA,
@@ -117,6 +118,21 @@ def test_zeta_hom_on_monomials():
     m21 = SymPoly.basis_element("m", (2, 1))
     expected = (GAMMA_GEN * PI2).scaled(Fraction(1, 6)) - zeta_gen(3)
     assert zeta_hom(m21) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_zeta_hom_matches_ring_products(n):
+    # oracle: each p_lam term as a product of one-term ring elements, one
+    # factor per part, compared by exact ring equality
+    for lam in partitions_of(n):
+        m = SymPoly.basis_element("m", lam)
+        expected = ZetaPoly.zero()
+        for mu, c in to_basis(m, "p").terms.items():
+            term = ZetaPoly.constant(c)
+            for part in mu:
+                term = term * (GAMMA_GEN if part == 1 else zeta_gen(part))
+            expected = expected + term
+        assert zeta_hom(m) == expected, lam
 
 
 def test_zeta_hom_m22_closed_form():
@@ -248,6 +264,12 @@ def test_zetapoly_json_roundtrip():
     data = zetapoly_to_json(p)
     assert zetapoly_from_json(data) == p
     assert all(set(entry) == {"monomial", "coeff"} for entry in data)
+    # entries naming one monomial in two spellings add up
+    twice = [
+        {"monomial": {"gamma": 1, "pi2": 1}, "coeff": "1/1"},
+        {"monomial": {"pi2": 1, "gamma": 1}, "coeff": "2/1"},
+    ]
+    assert zetapoly_from_json(twice) == (GAMMA_GEN * PI2).scaled(3)
 
 
 def test_zetapoly_sorted_terms_order():
