@@ -6,102 +6,42 @@ for part 1, zeta values for larger parts, sums of convergent multiple
 zeta values once c_1 = 0.  The package provides the symmetric-function
 and word algebra needed to state that, numeric evaluation with rigorous
 error bounds, and a CLI for tables and self-checks.
+
+The public names are imported from their modules on first access (PEP
+562), so `import gammagenus` loads nothing else and a program pays only
+for the modules whose names it uses.
 """
 
-from .partitions import Partition, partitions_of, sort_key, weight
-from .symfunc import MultiPoly, SymPoly, e_to_m_matrix, expand_in_vars, to_basis
-from .words import (
-    QsymPoly,
-    Word,
-    is_lyndon,
-    lyndon_decompose,
-    lyndon_factorize,
-    lyndon_recompose,
-    lyndon_words,
-    stuffle,
-    sym_to_words,
-    words_of_weight,
-)
-from .zetaring import (
-    MzvTerm,
-    MzvValue,
-    ZetaPoly,
-    bernoulli,
-    stuffle_reduce,
-    zeta_even,
-    zeta_gen,
-    zeta_hom,
-    zeta_word,
-)
-from .numeric import (
-    BoundedValue,
-    CutoffBudgetError,
-    DivergentMzvError,
-    eval_mzv_terms,
-    eval_qsym,
-    eval_zeta_poly,
-    gamma_recip_coeffs,
-    generator_values,
-    mzv,
-    mzv_info,
-)
-from .genus import (
-    CyGenusPolynomial,
-    GenusPolynomial,
-    mzv_expansion,
-    q_genus,
-    q_genus_cy,
-    q_genus_oracle,
-)
-from .verify import Report, run_suite
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundedValue",
-    "CutoffBudgetError",
-    "CyGenusPolynomial",
-    "DivergentMzvError",
-    "GenusPolynomial",
-    "MultiPoly",
-    "MzvTerm",
-    "MzvValue",
-    "Partition",
-    "QsymPoly",
-    "Report",
-    "SymPoly",
-    "Word",
-    "ZetaPoly",
-    "bernoulli",
-    "e_to_m_matrix",
-    "eval_mzv_terms",
-    "eval_qsym",
-    "eval_zeta_poly",
-    "expand_in_vars",
-    "gamma_recip_coeffs",
-    "generator_values",
-    "is_lyndon",
-    "lyndon_decompose",
-    "lyndon_factorize",
-    "lyndon_recompose",
-    "lyndon_words",
-    "mzv",
-    "mzv_expansion",
-    "mzv_info",
-    "partitions_of",
-    "q_genus",
-    "q_genus_cy",
+_EXPORTS = {
+    "partitions": "Partition partitions_of sort_key weight",
+    "symfunc": "MultiPoly SymPoly e_to_m_matrix expand_in_vars to_basis",
+    "words": "QsymPoly Word is_lyndon lyndon_decompose lyndon_factorize "
+    "lyndon_recompose lyndon_words stuffle sym_to_words words_of_weight",
+    "zetaring": "MzvTerm MzvValue ZetaPoly bernoulli stuffle_reduce zeta_even "
+    "zeta_gen zeta_hom zeta_word",
+    "numeric": "BoundedValue CutoffBudgetError DivergentMzvError eval_mzv_terms "
+    "eval_qsym eval_zeta_poly gamma_recip_coeffs generator_values mzv mzv_info",
+    "genus": "CyGenusPolynomial GenusPolynomial mzv_expansion q_genus q_genus_cy "
     "q_genus_oracle",
-    "run_suite",
-    "sort_key",
-    "stuffle",
-    "stuffle_reduce",
-    "sym_to_words",
-    "to_basis",
-    "weight",
-    "words_of_weight",
-    "zeta_even",
-    "zeta_gen",
-    "zeta_hom",
-    "zeta_word",
-]
+    "verify": "Report run_suite",
+}
+_HOME = {name: mod for mod, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    """Import a public name from its module and keep it in the namespace."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

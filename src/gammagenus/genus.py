@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import as_partition, partitions_of, sort_key
-from .symfunc import SymPoly, _m_in
+from .symfunc import SymPoly, _m_in_e
 from .words import sym_to_words, word_key
 from .zetaring import (
     GAMMA,
@@ -163,7 +163,7 @@ def q_genus_oracle(i: int) -> GenusPolynomial:
     # the degree-i part is sum_mu b_mu m_mu; rewrite each m_mu in the e basis
     coeffs = {lam: ZetaPoly.zero() for lam in partitions_of(i)}
     for mu, b in by_partition.items():
-        for lam, q in _m_in("e", mu).items():
+        for lam, q in _m_in_e(mu).items():
             coeffs[lam] = coeffs[lam] + b.scaled(q)
     return GenusPolynomial(i, coeffs).validate()
 

@@ -32,6 +32,7 @@ from .zetaring import (
     ZetaPoly,
     check_convergent_composition,
     generator_weight,
+    mzv_label,
 )
 
 # Per-operation rounding allowance for BoundedValue arithmetic: generous
@@ -46,6 +47,10 @@ SUM_EPS = 2.5e-16
 BLOCK = 1 << 20
 
 DEFAULT_MAX_CUTOFF = 20_000_000
+
+# Results kept by mzv: a caller that asks distinct questions (a stream of
+# requests) must not grow the process, and generator_value keeps its own.
+MZV_CACHE_SIZE = 128
 
 ZETA_TOL = 1e-12
 
@@ -317,13 +322,14 @@ def _choose_cutoff(comp, tol: float, max_cutoff: int, A, r) -> int:
             break
         best = min(best, pred)
     needed = (
-        f"about {required}"
+        f"a cutoff about {required}, over the budget of {max_cutoff}; "
+        "raise max_cutoff or relax tol"
         if required
-        else "beyond what 64-bit summation can certify"
+        else "more than 64-bit summation can certify under any cutoff "
+        "budget; relax the tolerance"
     )
     raise CutoffBudgetError(
-        f"tolerance {tol:g} for zeta{comp} needs a cutoff {needed}, over "
-        f"the budget of {max_cutoff}; raise max_cutoff or relax tol",
+        f"tolerance {tol:g} for {mzv_label(comp)} needs {needed}",
         required_cutoff=required,
     )
 
@@ -363,7 +369,7 @@ def mzv_info(args, tol: float, *, cutoff=None, max_cutoff=DEFAULT_MAX_CUTOFF):
     return BoundedValue(value, bound), N
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MZV_CACHE_SIZE)
 def _mzv_cached(comp, tol, max_cutoff):
     return mzv_info(comp, tol, max_cutoff=max_cutoff)[0]
 

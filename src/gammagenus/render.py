@@ -7,7 +7,7 @@ spellings in for scripts that cannot take UTF-8.
 from __future__ import annotations
 
 from .partitions import sort_key
-from .zetaring import GAMMA, PI2, ZetaPoly, generator_weight
+from .zetaring import GAMMA, PI2, ZetaPoly, generator_weight, mzv_label
 
 
 def _signed_sum(terms) -> str:
@@ -75,8 +75,7 @@ def format_c_monomial(lam) -> str:
 
 
 def format_mzv_args(args, ascii_mode: bool = False) -> str:
-    head = "zeta" if ascii_mode else "ζ"
-    return f"{head}({','.join(str(i) for i in args)})"
+    return mzv_label(args, "zeta" if ascii_mode else "ζ")
 
 
 def format_mzv_terms(terms, ascii_mode: bool = False) -> str:

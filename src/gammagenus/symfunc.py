@@ -6,15 +6,15 @@ and p->m transition matrices are counted directly (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. I sec. 6): the coefficient of m_mu in
 e_lam is the number of 0/1 matrices with row sums lam and column sums mu,
 and in p_lam it is the number of ways to place the parts of lam on len(mu)
-variables so that the exponents come out as mu.  Every
-other conversion uses the counted rows, then triangular substitution along
-dominance order: both matrices are triangular up to a scalar in that order,
-so m_lam is the row of its lead element (e_lam' or p_lam) less the m_mu
-already rewritten, over its diagonal entry; e <-> p goes through m.
+variables so that the exponents come out as mu.  m_lam in the p basis is
+an integer row counted by Mobius inversion on set partitions (Doubilet
+1972); in the e basis it is the row of e_lam' less the m_mu already
+rewritten, by substitution along dominance order; e <-> p goes through m.
 
 Brute-force expansion into honest variables t_1..t_n (a MultiPoly, the
 same linear-combination storage keyed by exponent vectors; see
-expand_in_vars) is kept as the test oracle for the counted rows.
+expand_in_vars) is kept as the test oracle for the counted rows, and the
+tests keep the p-basis substitution as the oracle for the Mobius rows.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import comb, factorial, prod
 from operator import add
 
 from .partitions import Partition, as_partition, partitions_of, sort_key
@@ -229,31 +230,63 @@ def _conjugate(lam: Partition) -> Partition:
 
 
 @lru_cache(maxsize=None)
-def _m_in(basis: str, lam: Partition) -> dict:
-    """m_lam in the e or p basis, as a map from partitions to Fractions.
+def _m_in_e(lam: Partition) -> dict:
+    """m_lam in the e basis, as a map from partitions to Fractions.
 
-    With lead = lam' for e and lead = lam for p, the counted row of the lead
-    element is c * m_lam plus m_mu terms with mu strictly below lam (e) or
-    strictly above it (p) in dominance order (Macdonald I (2.3), (6.9)), so
-    m_lam = (lead - sum_mu c_mu m_mu) / c by substitution along that order.
-    The map is cached and shared; callers must not mutate it.
+    The counted row of e_lam' is m_lam plus m_mu terms with mu strictly below
+    lam in dominance order (Macdonald I (2.3)), so m_lam = e_lam' - sum_mu
+    c_mu m_mu by substitution along that order.  The map is cached and
+    shared; callers must not mutate it.
     """
-    lead = _conjugate(lam) if basis == "e" else lam
+    lead = _conjugate(lam)
     out = {lead: Fraction(1)}
     for mu in partitions_of(sum(lam)):
-        c = _coefficient(basis, lead, mu) if mu != lam else 0
+        c = _coefficient("e", lead, mu) if mu != lam else 0
         if c:
-            for nu, q in _m_in(basis, mu).items():
+            for nu, q in _m_in_e(mu).items():
                 out[nu] = out.get(nu, 0) - c * q
-    scale = _coefficient(basis, lead, lam)
-    return {nu: q / scale for nu, q in out.items() if q}
+    return {nu: q for nu, q in out.items() if q}
+
+
+@lru_cache(maxsize=None)
+def _m_in_p(lam: Partition) -> tuple:
+    """(r, row) with r * m_lam = sum_mu row[mu] p_mu, all ints.
+
+    r = prod_i mult_i(lam)!.  Mobius inversion on the lattice of set
+    partitions of the parts (Doubilet 1972) gives r * m_lam as the sum over
+    set partitions pi of mu(0, pi) p_(block sums of pi), where
+    mu(0, pi) = prod_B (-1)^(|B|-1) (|B|-1)!.  The block holding the first
+    part takes a sub-multiset T of the others, which (k_v of the r_v copies
+    of each value v) happens prod_v C(r_v, k_v) ways with weight
+    (-1)^|T| |T|!; the rest is the row of the parts left over.  The row is
+    cached and shared; callers must not mutate it.
+    """
+    if not lam:
+        return 1, {(): 1}
+    rest = Counter(lam[1:])
+    values = sorted(rest, reverse=True)
+    row: dict = {}
+    for ks in product(*(range(rest[v] + 1) for v in values)):
+        weight = (-1) ** sum(ks) * factorial(sum(ks))
+        block, left = lam[0], []
+        for v, k in zip(values, ks):
+            weight *= comb(rest[v], k)
+            block += v * k
+            left += [v] * (rest[v] - k)
+        for mu, c in _m_in_p(tuple(left))[1].items():
+            key = tuple(sorted(mu + (block,), reverse=True))
+            row[key] = row.get(key, 0) + weight * c
+    return prod(factorial(r) for r in Counter(lam).values()), row
 
 
 @lru_cache(maxsize=None)
 def _row(src: str, dst: str, lam: Partition) -> dict:
     """src_lam in the dst basis, as a cached map that must not be mutated."""
     if src == "m":
-        return _m_in(dst, lam)
+        if dst == "e":
+            return _m_in_e(lam)
+        r, row = _m_in_p(lam)
+        return {mu: Fraction(c, r) for mu, c in row.items()}
     row = {}
     for mu in partitions_of(sum(lam)):
         c = _coefficient(src, lam, mu)
@@ -263,7 +296,7 @@ def _row(src: str, dst: str, lam: Partition) -> dict:
         return row
     out: dict = {}
     for mu, c in row.items():
-        for nu, q in _m_in(dst, mu).items():
+        for nu, q in _row("m", dst, mu).items():
             out[nu] = out.get(nu, 0) + c * q
     return out
 

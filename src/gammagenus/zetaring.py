@@ -11,9 +11,11 @@ zeta_generator_name(k), with int exponents >= 0, so equal ring elements
 are equal as ZetaPolys.
 
 zeta_hom is the ring homomorphism from symmetric functions determined by
-p_1 -> gamma and p_i -> zeta(i) for i >= 2.  It reads each p_lambda of the
-power-sum expansion as one monomial with one rational factor, cached per
-lambda, and collects those terms once.  zeta_word extends it to the
+p_1 -> gamma and p_i -> zeta(i) for i >= 2.  It reads each p_lambda as one
+monomial with one rational factor, cached per lambda, and each m_lambda
+from its integer Mobius row in the p basis, divided by prod mult_i! once;
+under zeta_hom that row is Hoffman's symmetric-sum theorem (Multiple
+harmonic series, 1992).  zeta_word extends it to the
 word algebra through the Lyndon factorization; its values live in MzvValue,
 polynomials in unevaluated multiple-zeta symbols with ZetaPoly coefficients,
 the same linear-combination storage keyed by sorted tuples of atoms.
@@ -27,7 +29,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .rationals import LinearCombination, frac_from_str, frac_str
-from .symfunc import SymPoly, to_basis
+from .symfunc import SymPoly, _m_in_p, to_basis
 from .words import QsymPoly, check_word, lyndon_decompose, sym_to_words
 
 GAMMA = "gamma"
@@ -184,12 +186,18 @@ def zeta_hom(f: SymPoly) -> ZetaPoly:
     """Ring homomorphism: p_1 -> gamma, p_i -> zeta(i) for i >= 2.
 
     Every p_lambda maps to one monomial: the factors of its parts multiply
-    and their exponents add.
+    and their exponents add.  An m_lambda is read from its integer row
+    r * m_lambda = sum_mu k_mu p_mu, divided by r once.
     """
+    if f.basis == "e":
+        f = to_basis(f, "m")
     out: dict = {}
-    for lam, c in to_basis(f, "p").terms.items():
-        q, mono = _power_sum_image(lam)
-        out[mono] = out.get(mono, 0) + c * q
+    for lam, c in f.terms.items():
+        r, row = _m_in_p(lam) if f.basis == "m" else (1, {lam: 1})
+        c = c / r
+        for mu, k in row.items():
+            q, mono = _power_sum_image(mu)
+            out[mono] = out.get(mono, 0) + c * k * q
     return ZetaPoly.zero()._like(out)
 
 
@@ -200,13 +208,18 @@ class DivergentMzvError(ValueError):
     """Raised for compositions with first entry < 2 (the series diverges)."""
 
 
+def mzv_label(args, head: str = "zeta") -> str:
+    """The symbol of a composition as "zeta(6,2)", or with another head."""
+    return f"{head}({','.join(str(i) for i in args)})"
+
+
 def check_convergent_composition(args) -> tuple:
     comp = tuple(args)
     if not comp or not all(isinstance(i, int) and i >= 1 for i in comp):
         raise ValueError(f"composition entries must be integers >= 1: {args!r}")
     if comp[0] < 2:
         raise DivergentMzvError(
-            f"zeta{comp} diverges: the first argument must be >= 2"
+            f"{mzv_label(comp)} diverges: the first argument must be >= 2"
         )
     return comp
 

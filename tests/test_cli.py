@@ -113,18 +113,39 @@ def test_qgenus_and_stuffle_never_load_numpy():
     script = (
         "import sys\n"
         "from gammagenus import cli\n"
-        "codes = [cli.main(['qgenus', '--max', '4']),\n"
-        "         cli.main(['stuffle', '--left', '2', '--right', '3'])]\n"
+        "codes = [cli.main(['qgenus', '--max', '4'])]\n"
+        "unused = [m for m in ('gammagenus.verify', 'gammagenus.numeric')\n"
+        "          if m in sys.modules]\n"
+        "codes.append(cli.main(['stuffle', '--left', '2', '--right', '3']))\n"
         "loaded = ['numpy' in sys.modules]\n"
         "codes.append(cli.main(['mzv', '--args', '2', '--tol', '1e-8']))\n"
         "loaded.append('numpy' in sys.modules)\n"
-        "print(codes, loaded)\n"
+        "print(codes, loaded, unused)\n"
     )
     res = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[0, 0, 0] [False, True]"
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] [False, True] []"
+
+
+def test_package_names_load_on_first_use():
+    # `import gammagenus` loads no submodule; `from gammagenus import *`
+    # binds every name of __all__ to the object its module defines
+    script = (
+        "import sys, gammagenus\n"
+        "loaded = [m for m in sys.modules if m.startswith('gammagenus.')]\n"
+        "names = {}\n"
+        "exec('from gammagenus import *', names)\n"
+        "wrong = [n for n in gammagenus.__all__ if names.get(n) is not\n"
+        "         getattr(sys.modules['gammagenus.' + gammagenus._HOME[n]], n)]\n"
+        "print(loaded, wrong, len(gammagenus.__all__))\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[] [] 46"
 
 
 GOLDEN_COMMANDS = {
@@ -199,9 +220,10 @@ def test_mzv_json():
 
 
 def test_mzv_divergent_exit_code():
-    res = run_cli("mzv", "--args", "1,2")
-    assert res.returncode == 3
-    assert "diverges" in res.stderr
+    for args in ("1,2", "1"):
+        res = run_cli("mzv", "--args", args)
+        assert res.returncode == 3
+        assert res.stderr.startswith(f"mzv: zeta({args}) diverges")
 
 
 def test_mzv_malformed_args():
@@ -224,6 +246,11 @@ def test_mzv_budget_exit_code():
     res = run_cli("mzv", "--args", "2,1", "--tol", "1e-12")
     assert res.returncode == 2
     assert "budget" in res.stderr
+    assert "for zeta(2,1) needs" in res.stderr
+    assert "max_cutoff" not in res.stderr
+    res = run_cli("mzv", "--args", "12", "--tol", "1e-300")
+    assert res.returncode == 2
+    assert "for zeta(12) needs" in res.stderr
 
 
 def test_stuffle_text():

@@ -21,7 +21,9 @@ from gammagenus.numeric import (
     CutoffBudgetError,
     DivergentMzvError,
     GAMMA_DECIMAL,
+    MZV_CACHE_SIZE,
     PI_DECIMAL,
+    _mzv_cached,
     eval_mzv_terms,
     eval_qsym,
     eval_zeta_poly,
@@ -92,7 +94,7 @@ def test_check_composition():
         v, _ = mzv_info(args, 1e-6)
         assert abs(v.value - float(mp.zeta(3))) <= v.bound
     for entry in (mzv, mzv_info):
-        with pytest.raises(DivergentMzvError, match="diverges"):
+        with pytest.raises(DivergentMzvError, match=r"^zeta\(1,2\) diverges"):
             entry((1, 2), 1e-6)
         with pytest.raises(ValueError):
             entry((), 1e-6)
@@ -222,7 +224,7 @@ def test_mzv_largest_cutoff_fits_in_1gb():
 def test_mzv_divergent():
     with pytest.raises(DivergentMzvError):
         mzv((1, 2), 1e-6)
-    with pytest.raises(DivergentMzvError):
+    with pytest.raises(DivergentMzvError, match=r"^zeta\(1\) diverges"):
         mzv((1,), 1e-6)
 
 
@@ -235,6 +237,7 @@ def test_mzv_budget_exhausted_reports_requirement():
     assert exc.required_cutoff is not None
     assert exc.required_cutoff > 1000
     assert "1000" in str(exc)
+    assert "zeta(2,1) needs a cutoff about" in str(exc)
 
 
 def test_mzv_unreachable_tolerance_reports_none():
@@ -242,6 +245,24 @@ def test_mzv_unreachable_tolerance_reports_none():
     with pytest.raises(CutoffBudgetError) as info:
         mzv((2,), 1e-14, max_cutoff=10_000)
     assert info.value.required_cutoff is None
+    # no cutoff helps, so the message spells zeta(2) and advises only the
+    # tolerance
+    message = str(info.value)
+    assert message.startswith("tolerance 1e-14 for zeta(2) needs more than")
+    assert message.endswith("relax the tolerance")
+    assert "max_cutoff" not in message
+
+
+def test_mzv_cache_is_bounded():
+    _mzv_cached.cache_clear()
+    tols = [1e-2 * (1 + i / 1000) for i in range(MZV_CACHE_SIZE + 10)]
+    for tol in tols:
+        mzv((2,), tol)
+    info = _mzv_cached.cache_info()
+    assert info.maxsize == MZV_CACHE_SIZE
+    assert info.currsize == MZV_CACHE_SIZE
+    assert mzv((2,), tols[-1]) is mzv((2,), tols[-1])
+    assert _mzv_cached.cache_info().hits == info.hits + 2
 
 
 def test_mzv_rejects_bad_tolerance():

@@ -8,6 +8,7 @@ combinations (QsymPoly, ZetaPoly, MzvValue, MultiPoly) is checked here too.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from operator import add, mul, sub
 
 import pytest
@@ -18,6 +19,7 @@ from gammagenus.symfunc import (
     MultiPoly,
     SymPoly,
     _coefficient,
+    _m_in_p,
     collect_symmetric_to_m,
     e_to_m_matrix,
     expand_in_vars,
@@ -124,6 +126,36 @@ def test_e_to_m_matrix_symmetric(n):
                 for mu, k in oracle[target, nu].items():
                     got[mu] = got.get(mu, 0) + c * k
             assert {mu: c for mu, c in got.items() if c} == {lam: 1}
+
+
+@lru_cache(maxsize=None)
+def _m_in_p_by_substitution(lam):
+    """m_lam in the p basis by triangular substitution (the oracle).
+
+    The counted row of p_lam is prod_i mult_i(lam)! m_lam plus m_mu terms
+    with mu strictly above lam in dominance order (Macdonald I (6.9)), so
+    m_lam = (p_lam - sum_mu c_mu m_mu) / c_lam along that order.
+    """
+    out = {lam: Fraction(1)}
+    for mu in partitions_of(sum(lam)):
+        c = _coefficient("p", lam, mu) if mu != lam else 0
+        if c:
+            for nu, q in _m_in_p_by_substitution(mu).items():
+                out[nu] = out.get(nu, 0) - c * q
+    scale = _coefficient("p", lam, lam)
+    return {nu: q / scale for nu, q in out.items() if q}
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_m_in_p_mobius_row_matches_substitution(n):
+    # the integer Mobius row r * m_lam = sum_mu k_mu p_mu, read through
+    # to_basis, equals the substitution oracle for every lam of n
+    for lam in partitions_of(n):
+        r, row = _m_in_p(lam)
+        assert r == _coefficient("p", lam, lam)
+        assert all(type(k) is int for k in row.values())
+        m = SymPoly.basis_element("m", lam)
+        assert to_basis(m, "p").terms == _m_in_p_by_substitution(lam), lam
 
 
 def test_e2_in_power_sums():

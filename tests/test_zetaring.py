@@ -133,6 +133,9 @@ def test_zeta_hom_matches_ring_products(n):
                 term = term * (GAMMA_GEN if part == 1 else zeta_gen(part))
             expected = expected + term
         assert zeta_hom(m) == expected, lam
+        # the same element given in the p and e bases, and scaled
+        assert zeta_hom(to_basis(m, "p")) == expected, lam
+        assert zeta_hom(to_basis(m, "e").scaled(-3)) == expected.scaled(-3), lam
 
 
 def test_zeta_hom_m22_closed_form():
@@ -150,8 +153,10 @@ def test_zeta_hom_is_weight_graded():
 def test_check_convergent_composition():
     assert check_convergent_composition((2, 1)) == (2, 1)
     assert check_convergent_composition([3]) == (3,)
-    with pytest.raises(DivergentMzvError, match="diverges"):
+    with pytest.raises(DivergentMzvError, match=r"^zeta\(1,2\) diverges"):
         check_convergent_composition((1, 2))
+    with pytest.raises(DivergentMzvError, match=r"^zeta\(1\) diverges"):
+        check_convergent_composition((1,))
     with pytest.raises(ValueError):
         check_convergent_composition(())
     with pytest.raises(ValueError):
