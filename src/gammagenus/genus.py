@@ -16,7 +16,6 @@ multiple zeta values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import as_partition, partitions_of, sort_key
@@ -184,7 +183,7 @@ def mzv_expansion(lam) -> list:
         c = expansion.terms[w]
         if c != 1:
             raise AssertionError("monomial word expansion must be 0/1")
-        out.append(MzvTerm(Fraction(1), w))
+        out.append(MzvTerm(1, w))
     return out
 
 

@@ -1,4 +1,8 @@
-"""Exact rationals: the JSON spelling "p/q" and the sparse linear-combination base.
+"""Exact rationals: the coefficient policy, "p/q" and the linear-combination base.
+
+exact: int until a denominator appears, so integer structure constants (the
+stuffle, the counted basis rows) never pay for Fraction arithmetic; equality
+stays exact, since 1 == Fraction(1) and their hashes match.
 
 LinearCombination is the one storage policy behind SymPoly (partitions),
 QsymPoly (words), ZetaPoly (ring monomials), MzvValue (products of MZV
@@ -12,6 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def exact(c):
+    """c as an int if it is whole, else as a Fraction (a float by its binary value)."""
+    if type(c) is int:
+        return c
+    q = Fraction(c)
+    return q.numerator if q.denominator == 1 else q
+
+
 def frac_str(q) -> str:
     """Render an exact rational as the canonical decimal-free string "p/q"."""
     q = Fraction(q)
@@ -20,11 +32,8 @@ def frac_str(q) -> str:
 
 def frac_from_str(s: str) -> Fraction:
     """Parse "p/q" (a bare integer string is accepted as p/1)."""
-    text = s.strip()
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    num, _, den = s.strip().partition("/")
+    return Fraction(int(num), int(den or 1))
 
 
 class LinearCombination:
@@ -32,10 +41,10 @@ class LinearCombination:
 
     The constructor is the entry for outside input.  Every key goes through
     the subclass hook ``_key``, which canonicalises it or raises ValueError,
-    and every coefficient through ``_coeff``; keys that coincide merge and
-    zero coefficients are dropped.  Sums, scalings and products of canonical
-    operands have canonical keys already, so they are built by ``_like``,
-    which only drops zeros.
+    and every coefficient through ``_coeff`` (``exact`` unless a subclass
+    stores ring elements); keys that coincide merge and zeros are dropped.
+    Sums, scalings and products of canonical operands have canonical keys
+    already, so they are built by ``_like``, which only drops zeros.
 
     A subclass's own ``__slots__`` name its extra state (SymPoly.basis,
     MultiPoly.nvars).  Results carry that state over, equality compares it,
@@ -44,7 +53,7 @@ class LinearCombination:
     """
 
     __slots__ = ("terms",)
-    _coeff = staticmethod(Fraction)
+    _coeff = staticmethod(exact)
 
     def __init__(self, terms=None):
         clean: dict = {}

@@ -27,7 +27,7 @@ from math import comb, factorial, prod
 from operator import add
 
 from .partitions import Partition, as_partition, partitions_of, sort_key
-from .rationals import LinearCombination, frac_from_str, frac_str
+from .rationals import LinearCombination, exact, frac_from_str, frac_str
 
 BASES = ("m", "e", "p")
 
@@ -35,13 +35,13 @@ BASES = ("m", "e", "p")
 class MultiPoly(LinearCombination):
     """Sparse polynomial in t_1..t_n with exact coefficients.
 
-    Keys are exponent tuples of length ``nvars``.  Coefficients are ints or
-    Fractions (both exact), stored as given; zeros are never stored.
+    Keys are exponent tuples of length ``nvars``.  Coefficients follow
+    rationals.exact like every other linear combination: ints or Fractions,
+    never floats; zeros are never stored.
     """
 
     __slots__ = ("nvars",)
     _mismatch = "variable counts differ"
-    _coeff = staticmethod(lambda c: c)
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = int(nvars)
@@ -138,7 +138,7 @@ class SymPoly(LinearCombination):
 
     @classmethod
     def basis_element(cls, basis: str, lam) -> "SymPoly":
-        return cls(basis, {as_partition(lam): Fraction(1)})
+        return cls(basis, {as_partition(lam): 1})
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         """Product, routed through the p basis where it is free."""
@@ -190,11 +190,7 @@ def collect_symmetric_to_m(mp: MultiPoly, strict: bool = True) -> SymPoly:
                 raise ValueError("polynomial is not symmetric")
         else:
             reps[rep] = c
-    terms = {}
-    for rep, c in reps.items():
-        lam = tuple(p for p in rep if p)
-        terms[lam] = Fraction(c)
-    return SymPoly("m", terms)
+    return SymPoly("m", {tuple(p for p in rep if p): c for rep, c in reps.items()})
 
 
 # --- basis conversion ------------------------------------------------------
@@ -231,7 +227,7 @@ def _conjugate(lam: Partition) -> Partition:
 
 @lru_cache(maxsize=None)
 def _m_in_e(lam: Partition) -> dict:
-    """m_lam in the e basis, as a map from partitions to Fractions.
+    """m_lam in the e basis, as a map from partitions to ints.
 
     The counted row of e_lam' is m_lam plus m_mu terms with mu strictly below
     lam in dominance order (Macdonald I (2.3)), so m_lam = e_lam' - sum_mu
@@ -239,7 +235,7 @@ def _m_in_e(lam: Partition) -> dict:
     shared; callers must not mutate it.
     """
     lead = _conjugate(lam)
-    out = {lead: Fraction(1)}
+    out = {lead: 1}
     for mu in partitions_of(sum(lam)):
         c = _coefficient("e", lead, mu) if mu != lam else 0
         if c:
@@ -286,12 +282,12 @@ def _row(src: str, dst: str, lam: Partition) -> dict:
         if dst == "e":
             return _m_in_e(lam)
         r, row = _m_in_p(lam)
-        return {mu: Fraction(c, r) for mu, c in row.items()}
+        return {mu: exact(Fraction(c, r)) for mu, c in row.items()}
     row = {}
     for mu in partitions_of(sum(lam)):
         c = _coefficient(src, lam, mu)
         if c:
-            row[mu] = Fraction(c)
+            row[mu] = c
     if dst == "m":
         return row
     out: dict = {}
@@ -326,7 +322,7 @@ def to_basis(f: SymPoly, target: str) -> SymPoly:
     out: dict = {}
     for lam, a in f.terms.items():
         for mu, c in _row(f.basis, target, lam).items():
-            out[mu] = out.get(mu, Fraction(0)) + a * c
+            out[mu] = out.get(mu, 0) + a * c
     return SymPoly(target, out)
 
 

@@ -354,18 +354,14 @@ def _check_decompose_roundtrip(cid, desc):
     bad = []
     q = QsymPoly.from_word((1, 2))
     decomposition = lyndon_decompose(q)
-    want = {
-        ((1,), (2,)): Fraction(1),
-        ((2, 1),): Fraction(-1),
-        ((3,),): Fraction(-1),
-    }
+    want = {((1,), (2,)): 1, ((2, 1),): -1, ((3,),): -1}
     if decomposition != want or lyndon_recompose(decomposition) != q:
         bad.append((1, 2))
     rng = random.Random(SEED + 3)
     for _ in range(10):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            terms[_random_word(rng, 5)] = Fraction(rng.randint(-3, 3))
+            terms[_random_word(rng, 5)] = rng.randint(-3, 3)
         poly = QsymPoly(terms)
         if lyndon_recompose(lyndon_decompose(poly)) != poly:
             bad.append(tuple(terms))

@@ -6,8 +6,9 @@ order extends lexicographically to words, and a proper prefix precedes its
 extensions.  Under this order the Lyndon words (words strictly smaller than
 every proper nonempty suffix) freely generate the stuffle algebra, which is
 what lyndon_decompose exploits.  A QsymPoly is a rational linear
-combination of words, stored and combined by rationals.LinearCombination;
-its product is the stuffle.
+combination of words (a rationals.LinearCombination) whose product is the
+stuffle; its structure constants are integers (Hoffman, Quasi-shuffle
+products, 2000), so coefficients stay ints until lyndon_decompose divides.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import as_partition
-from .rationals import LinearCombination, frac_from_str, frac_str
+from .rationals import LinearCombination, exact, frac_from_str, frac_str
 from .symfunc import SymPoly, to_basis
 from .symfunc import _orbit_exponent_vectors
 
@@ -67,7 +68,7 @@ class QsymPoly(LinearCombination):
 
     @classmethod
     def from_word(cls, w) -> "QsymPoly":
-        return cls({check_word(w): Fraction(1)})
+        return cls({check_word(w): 1})
 
     def __mul__(self, other: "QsymPoly") -> "QsymPoly":
         return stuffle(self, other)
@@ -121,8 +122,7 @@ def stuffle(a: QsymPoly, b: QsymPoly) -> QsymPoly:
         for v, cv in b.terms.items():
             c = cu * cv
             for w, k in _stuffle_words(u, v):
-                prev = out.get(w)
-                out[w] = c * k if prev is None else prev + c * k
+                out[w] = out.get(w, 0) + c * k
     return a._like(out)
 
 
@@ -200,8 +200,8 @@ def lyndon_decompose(q: QsymPoly) -> dict:
                     f"triangularity violated at pivot {pivot}: "
                     f"expansion leads with {expansion.max_word()}"
                 )
-            c = coeff / expansion.terms[pivot]
-            result[factors] = result.get(factors, Fraction(0)) + c
+            c = exact(Fraction(coeff, expansion.terms[pivot]))
+            result[factors] = result.get(factors, 0) + c
             residual = residual - expansion.scaled(c)
     return {mono: c for mono, c in result.items() if c}
 
@@ -228,7 +228,7 @@ def sym_to_words(f: SymPoly) -> QsymPoly:
     out: dict = {}
     for lam, c in fm.terms.items():
         for vec in _orbit_exponent_vectors(as_partition(lam), len(lam)):
-            out[vec] = out.get(vec, Fraction(0)) + c
+            out[vec] = out.get(vec, 0) + c
     return QsymPoly(out)
 
 

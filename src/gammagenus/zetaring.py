@@ -194,7 +194,7 @@ def zeta_hom(f: SymPoly) -> ZetaPoly:
     out: dict = {}
     for lam, c in f.terms.items():
         r, row = _m_in_p(lam) if f.basis == "m" else (1, {lam: 1})
-        c = c / r
+        c = Fraction(c, r)
         for mu, k in row.items():
             q, mono = _power_sum_image(mu)
             out[mono] = out.get(mono, 0) + c * k * q

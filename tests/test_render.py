@@ -13,8 +13,8 @@ from gammagenus.render import (
     format_word,
     format_zeta_poly,
 )
-from gammagenus.symfunc import SymPoly
-from gammagenus.words import stuffle_word_pair
+from gammagenus.symfunc import SymPoly, sympoly_to_json
+from gammagenus.words import QsymPoly, qsym_to_json, stuffle_word_pair
 from gammagenus.zetaring import ZetaPoly, zeta_hom
 
 
@@ -40,6 +40,22 @@ def test_format_word_and_qsym():
     assert format_qsym(stuffle_word_pair((1,), ())) == "z_1"
     doubled = q + q
     assert format_qsym(doubled) == "2 z_2z_6 + 2 z_6z_2 + 2 z_8"
+
+
+def test_int_coefficients_spell_like_fractions():
+    # stored as ints, printed as the equal Fraction always was
+    one = QsymPoly.from_word((2,))
+    assert type(one.terms[(2,)]) is int
+    assert qsym_to_json(one) == [{"word": [2], "coeff": "1/1"}]
+    m21 = SymPoly.basis_element("m", (2, 1))
+    assert sympoly_to_json(m21) == {
+        "basis": "m",
+        "terms": [{"partition": [2, 1], "coeff": "1/1"}],
+    }
+    three = QsymPoly({(2,): 3, (): -3})
+    assert format_qsym(three) == "3 z_2 - 3"
+    assert format_qsym(three) == format_qsym(QsymPoly({(2,): Fraction(6, 2), (): -3}))
+    assert format_zeta_poly(ZetaPoly.constant(Fraction(6, 2))) == "3"
 
 
 def test_format_c_monomial():

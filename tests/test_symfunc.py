@@ -268,6 +268,10 @@ def test_linear_combination_contract(name):
     assert not a.scaled(0)
     assert a == make({other: -3, key: Fraction(1, 2)})
     assert a != make({key: Fraction(1, 2)})
+    half = make({key: 0.5})  # a float is stored as the Fraction of its value
+    assert half == make({key: Fraction(1, 2)})
+    for q in (half, half.scaled(0.1), half + half):
+        assert not any(isinstance(c, float) for c in q.terms.values())
     for op in rejected:
         with pytest.raises(ValueError):
             op(a, mismatched)
