@@ -5,9 +5,9 @@ over n_1 > n_2 > ... > n_k >= 1.  The truncation error is controlled
 rigorously: the inner partial-sum functions are bounded by explicit
 majorants A_j (1 + ln n)^{r_j} built from comparison integrals, the
 outermost tail gets an Euler-Maclaurin estimate with an enveloping
-remainder term, and floating-point accumulation is covered by a separate
-rounding allowance.  Bounds are absolute and intended to be honest rather
-than tight.
+remainder term, and floating-point accumulation, done in a few fixed
+cache-sized rows whatever the cutoff, is covered by a separate rounding
+allowance.  Bounds are absolute and intended to be honest, not tight.
 
 gamma and pi enter as stored decimal constants (50 digits).  Taylor
 coefficients of 1/Gamma(1+z) are produced by exponentiating the log of the
@@ -44,7 +44,7 @@ EPS_OP = 2.0 ** -48
 # summation loops (covers pow at ~2 ulp plus the running additions).
 SUM_EPS = 2.5e-16
 
-BLOCK = 1 << 20
+BLOCK = 1 << 15
 
 DEFAULT_MAX_CUTOFF = 20_000_000
 
@@ -273,27 +273,39 @@ def _dp_sum(comp, N: int):
     Returns (partial, carries) where partial = sum_{m<=N} m^-s_1 T_2(m) and
     carries[j] = T_j(N+1) for 2 <= j <= k.  All terms are nonnegative, which
     is asserted along the way (monotone convergence in the cutoff).
+
+    Rows of BLOCK doubles are allocated once per call, whatever N is; per
+    element and level it rounds at most four times (pow, multiply, running
+    add, carry add) on nonnegative addends, so _slop still covers it.
     """
     import numpy as np
 
     k = len(comp)
+    size = min(BLOCK, N)
+    n = np.arange(1.0, size + 1.0)
+    power = {s: np.empty(size) for s in set(comp)}
+    vals, terms, csum = np.empty(size), np.empty(size), np.empty(size)
     partial = 0.0
     carry = {j: 0.0 for j in range(2, k + 1)}
-    lo = 1
-    while lo <= N:
-        hi = min(lo + BLOCK - 1, N)
-        n = np.arange(lo, hi + 1, dtype=np.float64)
-        vals = np.ones_like(n)
+    for lo in range(1, N + 1, size):
+        if lo > 1:
+            n += size
+        m = min(size, N - lo + 1)
+        if m < size:
+            n, vals, terms, csum = n[:m], vals[:m], terms[:m], csum[:m]
+            power = {s: row[:m] for s, row in power.items()}
+        for s, row in power.items():
+            np.power(n, -float(s), out=row)
+        level = power[comp[-1]]
         for j in range(k, 1, -1):
-            terms = n ** (-float(comp[j - 1])) * vals
-            csum = np.cumsum(terms)
-            vals = carry[j] + csum - terms
+            np.add.accumulate(level, out=csum)
+            vals[0] = carry[j]
+            np.add(csum[:-1], carry[j], out=vals[1:])
             carry[j] += float(csum[-1])
-        outer = n ** (-float(comp[0])) * vals
-        if not bool((outer >= 0.0).all()):
+            level = np.multiply(power[comp[j - 2]], vals, out=terms)
+        if not level.min() >= 0.0:
             raise AssertionError("negative summand in a positive series")
-        partial += float(outer.sum())
-        lo = hi + 1
+        partial += float(level.sum())
     return partial, carry
 
 
@@ -321,12 +333,15 @@ def _choose_cutoff(comp, tol: float, max_cutoff: int, A, r) -> int:
         if pred >= best and n > 1 << 40:
             break
         best = min(best, pred)
+    tightest = min(_predicted_bound(comp, N, A, r) for N in ladder) / 0.8
+    step = 10.0 ** (math.floor(math.log10(tightest)) - 1)  # round up, 2 digits
+    tightest = math.ceil(tightest / step) * step
     needed = (
         f"a cutoff about {required}, over the budget of {max_cutoff}; "
         "raise max_cutoff or relax tol"
         if required
-        else "more than 64-bit summation can certify under any cutoff "
-        "budget; relax the tolerance"
+        else "more than 64-bit summation can certify under any cutoff budget; "
+        f"the tightest it certifies is {tightest:.1e}; relax the tolerance"
     )
     raise CutoffBudgetError(
         f"tolerance {tol:g} for {mzv_label(comp)} needs {needed}",

@@ -253,6 +253,19 @@ def test_mzv_budget_exit_code():
     assert "for zeta(12) needs" in res.stderr
 
 
+def test_mzv_refusal_names_the_tightest_tolerance():
+    res = run_cli("mzv", "--args", "2,1", "--tol", "3.8e-7")
+    assert res.returncode == 2
+    head, _, tightest = res.stderr.rpartition("the tightest it certifies is ")
+    tightest, _, tail = tightest.partition(";")
+    assert head.startswith("mzv: tolerance 3.8e-07 for zeta(2,1) needs more than")
+    assert tail.strip() == "relax the tolerance"
+    assert float(tightest) < 1e-6
+    res = run_cli("mzv", "--args", "2,1", "--tol", tightest)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.startswith("zeta(2,1) = 1.2020")
+
+
 def test_stuffle_text():
     res = run_cli("stuffle", "--left", "2", "--right", "6")
     assert res.returncode == 0

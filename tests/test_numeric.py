@@ -6,10 +6,12 @@ must land inside its own reported error bound of the oracle value, not just
 the value looks fine.
 """
 
+import itertools
 import math
 import resource
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -17,13 +19,16 @@ import pytest
 from mpmath import mp
 
 from gammagenus.numeric import (
+    BLOCK,
     BoundedValue,
     CutoffBudgetError,
     DivergentMzvError,
     GAMMA_DECIMAL,
     MZV_CACHE_SIZE,
     PI_DECIMAL,
+    _dp_sum,
     _mzv_cached,
+    _slop,
     eval_mzv_terms,
     eval_qsym,
     eval_zeta_poly,
@@ -192,6 +197,42 @@ def test_mzv_explicit_cutoff_is_honest():
     v, n = mzv_info((2,), 1e-2, cutoff=1000)
     assert n == 1000
     assert abs(v.value - float(mp.pi**2 / 6)) <= v.bound
+
+
+def _nested_sum(comp, N):
+    """_dp_sum's (partial, carries) in pure Python: each level's terms from
+    the previous level's exclusive prefix, every total by math.fsum."""
+    prefix = [1.0] * N
+    carries = {}
+    for j in range(len(comp), 0, -1):
+        terms = [m ** -comp[j - 1] * t for m, t in zip(range(1, N + 1), prefix)]
+        if j == 1:
+            return math.fsum(terms), carries
+        carries[j] = math.fsum(terms)
+        prefix = [0.0, *itertools.accumulate(terms)][:N]
+
+
+@pytest.mark.parametrize("N", [100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
+@pytest.mark.parametrize("comp", [(2,), (2, 1), (3, 1, 2), (2, 1, 1, 1), (2, 2, 2, 2, 2)])
+def test_dp_sum_matches_nested_sum_across_block_boundaries(comp, N):
+    partial, carries = _dp_sum(comp, N)
+    want_partial, want_carries = _nested_sum(comp, N)
+    slop = _slop(len(comp), N, want_partial + sum(want_carries.values()) + 1.0)
+    assert abs(partial - want_partial) <= slop
+    assert carries.keys() == want_carries.keys()
+    for j, carry in carries.items():
+        assert abs(carry - want_carries[j]) <= slop, j
+
+
+def test_dp_sum_memory_does_not_grow_with_the_cutoff():
+    _dp_sum((2,), 100)  # numpy loaded before tracing
+    tracemalloc.start()
+    try:
+        _dp_sum((2, 1, 1, 1), 3_276_800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_mzv_largest_cutoff_fits_in_1gb():
