@@ -6,13 +6,16 @@ Subcommands: qgenus (print the Chern-class polynomial tables), mzv
 
 Exit codes: 0 success, 1 verification failure, 2 usage or budget errors,
 3 divergent MZV request, 4 internal error (any uncaught exception, such as
-MemoryError, reported as one line on stderr).
+MemoryError, reported as one line on stderr).  A stdout closed by its
+reader (`gammagenus qgenus --max 12 | head -1`) is not an error: the
+command stops writing and exits 0 with nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .genus import (
@@ -197,7 +200,13 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }[opts.command]
     try:
-        return command(opts)
+        code = command(opts)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (`| head -1`); send the exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except Exception as exc:
         print(
             f"gammagenus: internal error: {type(exc).__name__}: {exc}",

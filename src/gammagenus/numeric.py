@@ -272,7 +272,8 @@ def _dp_sum(comp, N: int):
 
     Returns (partial, carries) where partial = sum_{m<=N} m^-s_1 T_2(m) and
     carries[j] = T_j(N+1) for 2 <= j <= k.  All terms are nonnegative, which
-    is asserted along the way (monotone convergence in the cutoff).
+    is asserted along the way (monotone convergence in the cutoff).  The
+    sum is finite, so s_1 = 1 is valid here: (1,) gives the harmonic H_N.
 
     Rows of BLOCK doubles are allocated once per call, whatever N is; per
     element and level it rounds at most four times (pow, multiply, running

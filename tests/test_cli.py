@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -162,7 +163,8 @@ def test_stdout_matches_benchmark_golden(golden):
 
 
 # stdout digests of outputs the benchmark goldens do not cover; the stuffle
-# pair has coefficient-2 terms, so its rendered coefficients are pinned too
+# pair has coefficient-2 terms, so its rendered coefficients are pinned too,
+# and the verify JSON carries the numeric checks' printed values
 STDOUT_SHA256 = {
     "qgenus-10-json": (
         ("qgenus", "--max", "10", "--format", "json"),
@@ -171,6 +173,10 @@ STDOUT_SHA256 = {
     "qgenus-10-cy-json": (
         ("qgenus", "--max", "10", "--cy", "--format", "json"),
         "624f844baad40b39b66e513937c3c05483979be23616d6ddd5e163c99c14786a",
+    ),
+    "verify-all-json": (
+        ("verify", "--suite", "all", "--format", "json"),
+        "eb5ed2e22b848cc47956f4da3322aee62109aa906af714e7db5b790f3435e60e",
     ),
     "stuffle-213-31": (
         ("stuffle", "--left", "2,1,3", "--right", "3,1"),
@@ -201,6 +207,31 @@ def test_crash_has_its_own_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "MemoryError" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("qgenus", "--max", "10"),
+        ("verify", "--suite", "all"),
+        ("mzv", "--args", "2", "--tol", "1e-8"),
+    ],
+)
+def test_closed_stdout_is_not_an_internal_error(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "gammagenus", *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=300,
+        )
+    finally:
+        os.close(write_end)
+    assert res.stderr == ""
+    assert res.returncode == cli.EXIT_OK
 
 
 def test_mzv_text():

@@ -213,7 +213,9 @@ def _nested_sum(comp, N):
 
 
 @pytest.mark.parametrize("N", [100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
-@pytest.mark.parametrize("comp", [(2,), (2, 1), (3, 1, 2), (2, 1, 1, 1), (2, 2, 2, 2, 2)])
+@pytest.mark.parametrize(
+    "comp", [(2,), (2, 1), (3, 1, 2), (2, 1, 1, 1), (2, 2, 2, 2, 2), (1,)]
+)
 def test_dp_sum_matches_nested_sum_across_block_boundaries(comp, N):
     partial, carries = _dp_sum(comp, N)
     want_partial, want_carries = _nested_sum(comp, N)

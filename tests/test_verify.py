@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from gammagenus import cli, verify
@@ -59,3 +61,19 @@ def test_check_ids_unique():
     report = run_suite("all")
     ids = [c.id for c in report.checks]
     assert len(ids) == len(set(ids))
+
+
+@pytest.mark.parametrize("name", ["_check_gamma_limit", "_check_pi2_series"])
+def test_constant_checks_sum_in_fixed_memory(name):
+    # tracemalloc sees numpy buffers; load numpy first so its import is not
+    # counted against the check
+    import numpy  # noqa: F401
+
+    tracemalloc.start()
+    try:
+        check = getattr(verify, name)(name, "")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.passed
+    assert peak < 4_000_000
