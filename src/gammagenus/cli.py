@@ -4,6 +4,12 @@ Subcommands: qgenus (print the Chern-class polynomial tables), mzv
 (evaluate one multiple zeta value), stuffle (multiply two words), verify
 (run the self-check suites).  Data goes to stdout, diagnostics to stderr.
 
+Each command imports the modules it runs inside its own function, so that
+every fresh process pays only for its command: importing this module loads
+no other package module, qgenus loads genus and render (and words with
+--cy), mzv numeric, stuffle words, verify all of them; json is imported
+only for --format json.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or budget errors,
 3 divergent MZV request, 4 internal error (any uncaught exception, such as
 MemoryError, reported as one line on stderr).  A stdout closed by its
@@ -14,18 +20,8 @@ command stops writing and exits 0 with nothing on stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-
-from .genus import (
-    DEGREE_BUDGET,
-    cy_genus_to_json,
-    genus_to_json,
-    q_genus,
-    q_genus_cy,
-)
-from .render import format_cy_genus_line, format_genus_line
 
 # verify.SUITES, spelled out so that parsing the command line does not
 # import the checks (a test keeps the two equal)
@@ -49,6 +45,12 @@ def _parse_word(text: str):
     if any(i < 1 for i in letters):
         raise ValueError(f"word letters must be >= 1, got {text!r}")
     return letters
+
+
+def _print_json(data, indent=None) -> None:
+    import json
+
+    print(json.dumps(data, indent=indent, sort_keys=True))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,6 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_qgenus(opts) -> int:
+    from .genus import (
+        DEGREE_BUDGET,
+        cy_genus_to_json,
+        genus_to_json,
+        q_genus,
+        q_genus_cy,
+    )
+    from .render import format_cy_genus_line, format_genus_line
+
     lo = 2 if opts.cy else 1
     if opts.max < lo or opts.max > DEGREE_BUDGET:
         print(
@@ -106,7 +117,7 @@ def cmd_qgenus(opts) -> int:
             payload = [cy_genus_to_json(q_genus_cy(i)) for i in range(lo, opts.max + 1)]
         else:
             payload = [genus_to_json(q_genus(i)) for i in range(lo, opts.max + 1)]
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload, indent=2)
         return EXIT_OK
     for i in range(lo, opts.max + 1):
         if opts.cy:
@@ -140,7 +151,7 @@ def cmd_mzv(opts) -> int:
         print(f"mzv: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if opts.format == "json":
-        print(json.dumps(value.to_json(), sort_keys=True))
+        _print_json(value.to_json())
     else:
         label = format_mzv_args(comp, ascii_mode=True)
         print(f"{label} = {format_bounded(value, ascii_mode=True)}")
@@ -159,7 +170,7 @@ def cmd_stuffle(opts) -> int:
         return EXIT_USAGE
     product = stuffle(QsymPoly.from_word(left), QsymPoly.from_word(right))
     if opts.format == "json":
-        print(json.dumps(qsym_to_json(product), sort_keys=True))
+        _print_json(qsym_to_json(product))
     else:
         print(format_qsym(product))
     return EXIT_OK
@@ -170,7 +181,7 @@ def cmd_verify(opts) -> int:
 
     report = run_suite(opts.suite)
     if opts.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        _print_json(report.to_json(), indent=2)
     else:
         print(f"suite: {report.suite}")
         for check in report.checks:

@@ -20,7 +20,6 @@ from functools import lru_cache
 
 from .partitions import as_partition, partitions_of, sort_key
 from .symfunc import SymPoly, _m_in_e
-from .words import sym_to_words, word_key
 from .zetaring import (
     GAMMA,
     MzvTerm,
@@ -174,6 +173,8 @@ def mzv_expansion(lam) -> list:
     the distinct rearrangements of the parts, i.e. the words underlying
     sym_to_words(m_lam), in ascending word order.
     """
+    from .words import sym_to_words, word_key
+
     lam = as_partition(lam)
     if not lam or min(lam) < 2:
         raise ValueError(f"partition {lam or '()'} must have all parts >= 2")

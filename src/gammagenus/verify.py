@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .genus import mzv_expansion, q_genus, q_genus_oracle, q_genus_cy
@@ -57,34 +56,31 @@ from .zetaring import (
 SEED = 20318
 
 
-@dataclass
 class CheckRecord:
-    id: str
-    description: str
-    status: str
-    expected: str = ""
-    actual: str = ""
-    bound: str = ""
+    __slots__ = ("id", "description", "status", "expected", "actual", "bound")
+
+    def __init__(self, id, description, status, expected="", actual="", bound=""):
+        self.id = id
+        self.description = description
+        self.status = status
+        self.expected = expected
+        self.actual = actual
+        self.bound = bound
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "description": self.description,
-            "status": self.status,
-            "expected": self.expected,
-            "actual": self.actual,
-            "bound": self.bound,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
-@dataclass
 class Report:
-    suite: str
-    checks: list
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str, checks: list):
+        self.suite = suite
+        self.checks = checks
 
     @property
     def passed(self) -> bool:
@@ -112,6 +108,8 @@ def _record(check_id, description, ok, expected="", actual="", bound=""):
 def _guard(check_id, description, fn):
     try:
         return fn(check_id, description)
+    except (MemoryError, RecursionError):
+        raise  # the process is out of resources: an internal error, not a verdict
     except Exception as exc:  # a crashed check is a failed check
         return _record(check_id, description, False, actual=f"raised {exc!r}")
 

@@ -23,14 +23,12 @@ the same linear-combination storage keyed by sorted tuples of atoms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
 from .rationals import LinearCombination, frac_from_str, frac_str
 from .symfunc import SymPoly, _m_in_p, to_basis
-from .words import QsymPoly, check_word, lyndon_decompose, sym_to_words
 
 GAMMA = "gamma"
 PI2 = "pi2"
@@ -224,16 +222,34 @@ def check_convergent_composition(args) -> tuple:
     return comp
 
 
-@dataclass(frozen=True)
 class MzvTerm:
-    """One rational multiple of a convergent multiple zeta symbol."""
+    """One rational multiple of a convergent multiple zeta symbol (immutable)."""
 
-    coeff: Fraction
-    args: tuple
+    __slots__ = ("coeff", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "args", check_convergent_composition(self.args))
+    def __init__(self, coeff, args):
+        object.__setattr__(self, "coeff", Fraction(coeff))
+        object.__setattr__(self, "args", check_convergent_composition(args))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of MzvTerm")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of MzvTerm")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff, self.args) == (other.coeff, other.args)
+
+    def __hash__(self):
+        return hash((self.coeff, self.args))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(coeff={self.coeff!r}, args={self.args!r})"
+
+    def __reduce__(self):
+        return type(self), (self.coeff, self.args)
 
     @property
     def weight(self) -> int:
@@ -320,6 +336,8 @@ def zeta_word(w) -> MzvValue:
     its MZV symbol, with distinct symbols kept as independent commuting
     atoms.
     """
+    from .words import QsymPoly, check_word, lyndon_decompose
+
     word = check_word(w)
     if not word:
         return MzvValue.one()
@@ -338,8 +356,8 @@ def zeta_word(w) -> MzvValue:
     return acc
 
 
-def zeta_word_poly(q: QsymPoly) -> MzvValue:
-    """Linear extension of zeta_word to word polynomials."""
+def zeta_word_poly(q) -> MzvValue:
+    """Linear extension of zeta_word to word polynomials (words.QsymPoly)."""
     acc = MzvValue.zero()
     for w, c in q.terms.items():
         acc = acc + zeta_word(w).scaled(c)
@@ -395,6 +413,8 @@ def path_independence_pairs(f: SymPoly):
     two must agree whenever the reduction is forced, e.g. for m_lam with no
     unit parts and at most two parts.
     """
+    from .words import sym_to_words
+
     direct = zeta_hom(f)
     through_words = stuffle_reduce(zeta_word_poly(sym_to_words(f)))
     return direct, through_words

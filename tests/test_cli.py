@@ -130,6 +130,35 @@ def test_qgenus_and_stuffle_never_load_numpy():
     assert res.stdout.splitlines()[-1] == "[0, 0, 0] [False, True] []"
 
 
+# the package modules each command loads, beyond `gammagenus` and `cli`
+BASE_MODULES = {"partitions", "rationals", "render", "symfunc", "zetaring"}
+COMMAND_MODULES = {
+    "import": ((), set()),
+    "qgenus": (("qgenus", "--max", "4"), BASE_MODULES | {"genus"}),
+    "mzv": (("mzv", "--args", "2", "--tol", "1e-8"), BASE_MODULES | {"numeric"}),
+    "stuffle": (("stuffle", "--left", "2", "--right", "3"), BASE_MODULES | {"words"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_only_what_it_runs(command):
+    argv, expected = COMMAND_MODULES[command]
+    run = f"cli.main({list(argv)!r})" if argv else "0"
+    script = (
+        "import sys\n"
+        "from gammagenus import cli\n"
+        f"code = {run}\n"
+        "print(code, sorted(m[11:] for m in sys.modules\n"
+        "                   if m.startswith('gammagenus.')),\n"
+        "      [m for m in ('dataclasses', 'json') if m in sys.modules])\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == f"0 {sorted(expected | {'cli'})} []"
+
+
 def test_package_names_load_on_first_use():
     # `import gammagenus` loads no submodule; `from gammagenus import *`
     # binds every name of __all__ to the object its module defines
@@ -173,6 +202,22 @@ STDOUT_SHA256 = {
     "qgenus-10-cy-json": (
         ("qgenus", "--max", "10", "--cy", "--format", "json"),
         "624f844baad40b39b66e513937c3c05483979be23616d6ddd5e163c99c14786a",
+    ),
+    "qgenus-10-ascii": (
+        ("qgenus", "--max", "10", "--ascii"),
+        "67742dbfadcab08d8d6da2fad9db17b86ff79460a0620f59910670893caed059",
+    ),
+    "qgenus-10-cy": (
+        ("qgenus", "--max", "10", "--cy"),
+        "1cf6d50e7875363c2e1a6606ffe4df13935efebfda49b72c847d17fc778054ae",
+    ),
+    "mzv-62": (
+        ("mzv", "--args", "6,2", "--tol", "1e-8"),
+        "f9ebfd9ee14b40e69f35a5c77b058d467a887150ca92c5c96c388fea10c639eb",
+    ),
+    "mzv-62-json": (
+        ("mzv", "--args", "6,2", "--tol", "1e-8", "--format", "json"),
+        "2a15a74aac08da9f041ec1ebe115b888e1aff796eddc5a102b375b52e9f2ae7b",
     ),
     "verify-all-json": (
         ("verify", "--suite", "all", "--format", "json"),

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from gammagenus.genus import (
+    DEGREE_BUDGET,
     CyGenusPolynomial,
     GenusPolynomial,
     cy_genus_from_json,
@@ -61,6 +64,60 @@ def test_homogeneity_and_coefficient_count(i):
 @pytest.mark.parametrize("i", range(1, 5))
 def test_oracle_agrees(i):
     assert q_genus(i) == q_genus_oracle(i)
+
+
+def _elementary(t):
+    """e_0(t), ..., e_n(t) for the numbers t, read off prod_j (1 + t_j x)."""
+    e = [Fraction(1)]
+    for x in t:
+        e = [a + x * b for a, b in zip(e + [0], [0] + e)]
+    return e
+
+
+def _generating_coefficient(t, i):
+    """[s^i] prod_j 1/Gamma(1 + t_j s) in the ring, without zeta_hom.
+
+    The product is exp(sum_k l_k p_k(t) s^k) with l_1 = gamma and
+    l_k = (-1)^(k-1) zeta(k)/k, so its coefficients obey
+    n g_n = sum_k k l_k p_k(t) g_(n-k).
+    """
+    b = [None] + [
+        (GAMMA_GEN if k == 1 else zeta_gen(k).scaled((-1) ** (k - 1)))
+        .scaled(sum(x**k for x in t))
+        for k in range(1, i + 1)
+    ]
+    g = [ZetaPoly.one()]
+    for n in range(1, i + 1):
+        acc = ZetaPoly.zero()
+        for k in range(1, n + 1):
+            acc = acc + b[k] * g[n - k]
+        g.append(acc.scaled(Fraction(1, n)))
+    return g[i]
+
+
+@pytest.mark.parametrize("i", range(1, DEGREE_BUDGET + 1))
+def test_q_genus_matches_generating_product_exactly(i):
+    # sum_lam Q_i[lam] e_lam(t) is the degree-i part of prod_j 1/Gamma(1 + t_j)
+    # at i rational Chern roots t, so every e_lam can be nonzero
+    rng = random.Random(i)
+    q = q_genus(i)
+    for _ in range(3):
+        t = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(i)]
+        e = _elementary(t)
+        lhs = ZetaPoly.zero()
+        for lam, c in q.coeffs.items():
+            lhs = lhs + c.scaled(prod(e[part] for part in lam))
+        assert lhs == _generating_coefficient(t, i), t
+
+
+def test_quintic_threefold():
+    # the quintic in P^4 has c = (1 + H)^5 / (1 + 5H): c_1 = 0, c_2 = 10 H^2,
+    # c_3 = -40 H^3, and deg H^3 = 5, so the integral of Q_3 is -200 zeta(3)
+    c = {1: 0, 2: 10, 3: -40}
+    integral = ZetaPoly.zero()
+    for lam, coeff in q_genus(3).coeffs.items():
+        integral = integral + coeff.scaled(5 * prod(c[part] for part in lam))
+    assert integral == zeta_gen(3).scaled(-200)
 
 
 def test_budgets():

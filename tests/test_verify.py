@@ -57,6 +57,33 @@ def test_crashed_check_is_a_failed_check(monkeypatch):
     assert run_suite("numeric").checks == []
 
 
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (MemoryError, cli.EXIT_INTERNAL),
+        (RecursionError, cli.EXIT_INTERNAL),
+        (ZeroDivisionError, cli.EXIT_VERIFY_FAILED),
+        (AssertionError, cli.EXIT_VERIFY_FAILED),
+    ],
+)
+def test_out_of_resources_is_an_internal_error(monkeypatch, capsys, error, code):
+    # a check that runs out of memory or stack has not failed: the process has
+    def crash(cid, desc):
+        raise error("boom")
+
+    monkeypatch.setattr(
+        verify, "CHECKS", (("words", "words.crash", "always raises", crash),)
+    )
+    assert cli.main(["verify", "--suite", "words"]) == code
+    out, err = capsys.readouterr()
+    if code == cli.EXIT_INTERNAL:
+        assert err.count("\n") == 1
+        assert error.__name__ in err
+    else:
+        assert err == ""
+        assert "[FAIL] words.crash: always raises" in out
+
+
 def test_check_ids_unique():
     report = run_suite("all")
     ids = [c.id for c in report.checks]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -169,6 +171,26 @@ def test_mzv_term():
     assert t.depth == 2
     assert MzvTerm.from_json(t.to_json()) == t
     with pytest.raises(ValueError):
+        MzvTerm(Fraction(1), (1, 2))
+
+
+def test_mzv_term_is_an_immutable_value():
+    t = MzvTerm(coeff=Fraction(3, 2), args=(6, 2))
+    assert t == MzvTerm(Fraction(3, 2), [6, 2])
+    assert hash(t) == hash(MzvTerm(Fraction(6, 4), (6, 2)))
+    assert type(MzvTerm(2, (3,)).coeff) is Fraction
+    assert t != MzvTerm(Fraction(3, 2), (2, 6))
+    assert t != (Fraction(3, 2), (6, 2))
+    assert len({t, MzvTerm(Fraction(3, 2), (6, 2)), MzvTerm(1, (2,))}) == 2
+    assert repr(t) == "MzvTerm(coeff=Fraction(3, 2), args=(6, 2))"
+    with pytest.raises(AttributeError):
+        t.coeff = Fraction(1)
+    with pytest.raises(AttributeError):
+        t.args = (2,)
+    assert t.coeff == Fraction(3, 2) and t.args == (6, 2)
+    assert pickle.loads(pickle.dumps(t)) == t
+    assert copy.deepcopy(t) == t
+    with pytest.raises(DivergentMzvError):
         MzvTerm(Fraction(1), (1, 2))
 
 
