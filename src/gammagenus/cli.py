@@ -113,11 +113,20 @@ def cmd_qgenus(opts) -> int:
         )
         return EXIT_USAGE
     if opts.format == "json":
+        import json
+
+        # One degree at a time, byte for byte what json.dumps(list, indent=2)
+        # prints, so only one degree's objects are alive at once.
         if opts.cy:
-            payload = [cy_genus_to_json(q_genus_cy(i)) for i in range(lo, opts.max + 1)]
+            genus, to_json = q_genus_cy, cy_genus_to_json
         else:
-            payload = [genus_to_json(q_genus(i)) for i in range(lo, opts.max + 1)]
-        _print_json(payload, indent=2)
+            genus, to_json = q_genus, genus_to_json
+        sep = "[\n  "
+        for i in range(lo, opts.max + 1):
+            text = json.dumps(to_json(genus(i)), indent=2, sort_keys=True)
+            sys.stdout.write(sep + text.replace("\n", "\n  "))
+            sep = ",\n  "
+        sys.stdout.write("\n]\n")
         return EXIT_OK
     for i in range(lo, opts.max + 1):
         if opts.cy:

@@ -21,6 +21,7 @@ not at import, so the symbolic commands never load it.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -46,11 +47,15 @@ SUM_EPS = 2.5e-16
 
 BLOCK = 1 << 15
 
+FIRST_RUNG = 100
 DEFAULT_MAX_CUTOFF = 20_000_000
 
 # Results kept by mzv: a caller that asks distinct questions (a stream of
 # requests) must not grow the process, and generator_value keeps its own.
 MZV_CACHE_SIZE = 128
+# Cutoff plans kept, one per (composition, max_cutoff), each well under a
+# kilobyte: the 232 compositions of weight <= 12 with every part >= 2 fit.
+PLAN_CACHE_SIZE = 256
 
 ZETA_TOL = 1e-12
 
@@ -310,40 +315,71 @@ def _dp_sum(comp, N: int):
     return partial, carry
 
 
-def _choose_cutoff(comp, tol: float, max_cutoff: int, A, r) -> int:
-    target = 0.8 * tol
-    ladder = []
-    n = 100
-    while n < max_cutoff:
-        ladder.append(n)
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(comp, max_cutoff: int) -> tuple:
+    """The tolerance-free part of the cutoff choice: (rungs, beyond).
+
+    Rung i of the ladder is N = min(FIRST_RUNG * 2^i, max_cutoff).  rungs
+    holds four doubles per rung up to the one whose predicted bound is
+    least (no later rung can be first to meet a target): that bound,
+    zeta_tail_estimate(N, s_1) and _remainder_cap.  beyond holds (n, bound)
+    for the virtual rungs max_cutoff * 2^j a refusal walks to name the
+    cutoff it would need, up to 2^62 or until a bound past 2^40 stops
+    falling; only those below every earlier bound are kept, since no other
+    can be the first to meet a target the ladder missed.
+    """
+    A, r = _majorant_chain(comp)
+    table = []
+    n = FIRST_RUNG
+    while True:
+        N = min(n, max_cutoff)
+        table.append((_predicted_bound(comp, N, A, r), N))
+        if N == max_cutoff:
+            break
         n *= 2
-    ladder.append(max_cutoff)
-    for N in ladder:
-        if _predicted_bound(comp, N, A, r) <= target:
-            return N
-    # Over budget: keep doubling virtually to report what would be needed.
-    required = None
+    least = min(range(len(table)), key=lambda i: table[i][0])
+    rungs = array("d")
+    for pred, N in table[: least + 1]:
+        rup = _remainder_cap(comp, N, A, r)
+        rungs.extend((pred, *zeta_tail_estimate(N, comp[0]), rup))
+    beyond = []
+    lowest = rungs[-4]
     n = max_cutoff
-    best = _predicted_bound(comp, n, A, r)
+    best = table[-1][0]
     while n < 1 << 62:
         n *= 2
         pred = _predicted_bound(comp, n, A, r)
-        if pred <= target:
-            required = n
-            break
+        if pred < lowest:
+            beyond.append((n, pred))
+            lowest = pred
         if pred >= best and n > 1 << 40:
             break
         best = min(best, pred)
-    tightest = min(_predicted_bound(comp, N, A, r) for N in ladder) / 0.8
-    step = 10.0 ** (math.floor(math.log10(tightest)) - 1)  # round up, 2 digits
-    tightest = math.ceil(tightest / step) * step
-    needed = (
-        f"a cutoff about {required}, over the budget of {max_cutoff}; "
-        "raise max_cutoff or relax tol"
-        if required
-        else "more than 64-bit summation can certify under any cutoff budget; "
-        f"the tightest it certifies is {tightest:.1e}; relax the tolerance"
-    )
+    return rungs, tuple(beyond)
+
+
+def _choose_cutoff(comp, tol: float, max_cutoff: int) -> tuple:
+    """(N, zeta-tail midpoint, its error, drift cap) for the first rung of the
+    plan whose predicted bound is at most 0.8 * tol; CutoffBudgetError if none."""
+    rungs, beyond = _plan(comp, max_cutoff)
+    target = 0.8 * tol
+    for i in range(0, len(rungs), 4):
+        if rungs[i] <= target:
+            return min(FIRST_RUNG << (i // 4), max_cutoff), *rungs[i + 1 : i + 4]
+    required = next((n for n, pred in beyond if pred <= target), None)
+    if required:
+        needed = (
+            f"a cutoff about {required}, over the budget of {max_cutoff}; "
+            "raise max_cutoff or relax tol"
+        )
+    else:
+        tightest = rungs[-4] / 0.8
+        step = 10.0 ** (math.floor(math.log10(tightest)) - 1)  # round up, 2 digits
+        tightest = math.ceil(tightest / step) * step
+        needed = (
+            "more than 64-bit summation can certify under any cutoff budget; "
+            f"the tightest it certifies is {tightest:.1e}; relax the tolerance"
+        )
     raise CutoffBudgetError(
         f"tolerance {tol:g} for {mzv_label(comp)} needs {needed}",
         required_cutoff=required,
@@ -353,26 +389,39 @@ def _choose_cutoff(comp, tol: float, max_cutoff: int, A, r) -> int:
 def mzv_info(args, tol: float, *, cutoff=None, max_cutoff=DEFAULT_MAX_CUTOFF):
     """(BoundedValue, cutoff used) for the multiple zeta value at args.
 
-    The cutoff is normally chosen from a doubling ladder so the predicted
-    bound is at most 0.8 * tol; passing cutoff explicitly skips the ladder
-    (the reported bound is then whatever that cutoff honestly achieves).
+    The cutoff is normally the first rung of a doubling ladder (100, 200,
+    400, ... up to max_cutoff) whose predicted bound is at most 0.8 * tol;
+    the ladder and its bounds are planned once per (composition,
+    max_cutoff) and kept, so a call pays only for its sum.  Passing cutoff
+    explicitly skips the ladder (the reported bound is then whatever that
+    cutoff honestly achieves).
+
+    The predicted bound falls with the cutoff until the rounding allowance,
+    which grows with it, takes over; the ladder never goes past the rung
+    where it is least.  For (2,1), (2,1,1) and (2,1,1,1) that rung is
+    N = 3 276 800, so under the default budget the 6 553 600, 13 107 200
+    and 20 000 000 rungs are never chosen: only an explicit cutoff reaches
+    them.
     """
-    comp = check_convergent_composition(args)
+    return _mzv_info(check_convergent_composition(args), tol, cutoff, max_cutoff)
+
+
+def _mzv_info(comp, tol, cutoff, max_cutoff):
+    """mzv_info for a composition already checked to converge."""
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    A, r = _majorant_chain(comp)
     if cutoff is None:
-        N = _choose_cutoff(comp, tol, int(max_cutoff), A, r)
+        N, zmid, ez, rup = _choose_cutoff(comp, tol, int(max_cutoff))
     else:
         N = int(cutoff)
         if N < 100:
             raise ValueError("cutoff must be at least 100")
+        zmid, ez = zeta_tail_estimate(N, comp[0])
+        rup = _remainder_cap(comp, N, *_majorant_chain(comp))
     k = len(comp)
     partial, carry = _dp_sum(comp, N)
     t2 = carry[2] if k >= 2 else 1.0
-    zmid, ez = zeta_tail_estimate(N, comp[0])
-    rup = _remainder_cap(comp, N, A, r)
     # The drift lies in [0, rup]; center it and report a touch over half the
     # width so a doubled-cutoff rerun stays inside this run's bound.
     value = partial + t2 * zmid + 0.5 * rup
@@ -387,7 +436,7 @@ def mzv_info(args, tol: float, *, cutoff=None, max_cutoff=DEFAULT_MAX_CUTOFF):
 
 @lru_cache(maxsize=MZV_CACHE_SIZE)
 def _mzv_cached(comp, tol, max_cutoff):
-    return mzv_info(comp, tol, max_cutoff=max_cutoff)[0]
+    return _mzv_info(comp, tol, None, max_cutoff)[0]
 
 
 def mzv(args, tol: float, *, max_cutoff=DEFAULT_MAX_CUTOFF) -> BoundedValue:

@@ -12,10 +12,11 @@ are equal as ZetaPolys.
 
 zeta_hom is the ring homomorphism from symmetric functions determined by
 p_1 -> gamma and p_i -> zeta(i) for i >= 2.  It reads each p_lambda as one
-monomial with one rational factor, cached per lambda, and each m_lambda
-from its integer Mobius row in the p basis, divided by prod mult_i! once;
-under zeta_hom that row is Hoffman's symmetric-sum theorem (Multiple
-harmonic series, 1992).  zeta_word extends it to the
+monomial times an int over a denominator shared by its weight (cached per
+weight), and each m_lambda from its integer Mobius row in the p basis, so
+every coefficient is summed in ints and divided by prod mult_i! and that
+denominator once; under zeta_hom that row is Hoffman's symmetric-sum
+theorem (Multiple harmonic series, 1992).  zeta_word extends it to the
 word algebra through the Lyndon factorization; its values live in MzvValue,
 polynomials in unevaluated multiple-zeta symbols with ZetaPoly coefficients,
 the same linear-combination storage keyed by sorted tuples of atoms.
@@ -25,8 +26,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lcm
 
+from .partitions import partitions_of
 from .rationals import LinearCombination, frac_from_str, frac_str
 from .symfunc import SymPoly, _m_in_p, to_basis
 
@@ -167,17 +169,28 @@ def zeta_gen(i: int) -> ZetaPoly:
 
 
 @lru_cache(maxsize=None)
-def _power_sum_image(lam: tuple) -> tuple:
-    """zeta_hom(p_lam) as (rational factor, canonical monomial)."""
-    q, pairs = Fraction(1), []
-    for part in lam:
-        if part == 1:
-            pairs.append((GAMMA, 1))
-        else:
-            ((mono, c),) = zeta_gen(part).terms.items()
-            q *= c
-            pairs += mono
-    return q, _monomial(pairs)
+def _power_sum_images(n: int) -> tuple:
+    """(D, images) with zeta_hom(p_mu) = (a / D) * monomial for every mu |- n.
+
+    images maps mu to (a, monomial), a an int; D is the lcm of the rational
+    factors' denominators, so the images of one weight add as ints.
+    """
+    exact = {}
+    for mu in partitions_of(n):
+        q, pairs = Fraction(1), []
+        for part in mu:
+            if part == 1:
+                pairs.append((GAMMA, 1))
+            else:
+                ((mono, c),) = zeta_gen(part).terms.items()
+                q *= c
+                pairs += mono
+        exact[mu] = q, _monomial(pairs)
+    D = lcm(*(q.denominator for q, _ in exact.values()))
+    return D, {
+        mu: (q.numerator * (D // q.denominator), mono)
+        for mu, (q, mono) in exact.items()
+    }
 
 
 def zeta_hom(f: SymPoly) -> ZetaPoly:
@@ -185,18 +198,25 @@ def zeta_hom(f: SymPoly) -> ZetaPoly:
 
     Every p_lambda maps to one monomial: the factors of its parts multiply
     and their exponents add.  An m_lambda is read from its integer row
-    r * m_lambda = sum_mu k_mu p_mu, divided by r once.
+    r * m_lambda = sum_mu k_mu p_mu.  Every term is scaled to one common
+    denominator, the sums run over ints, and each output coefficient is one
+    Fraction.
     """
     if f.basis == "e":
         f = to_basis(f, "m")
-    out: dict = {}
+    rows = []
     for lam, c in f.terms.items():
         r, row = _m_in_p(lam) if f.basis == "m" else (1, {lam: 1})
-        c = Fraction(c, r)
+        D, images = _power_sum_images(sum(lam))
+        rows.append((c.numerator, c.denominator * r * D, row, images))
+    common = lcm(*(den for _, den, _, _ in rows))
+    out: dict = {}
+    for num, den, row, images in rows:
+        scale = num * (common // den)
         for mu, k in row.items():
-            q, mono = _power_sum_image(mu)
-            out[mono] = out.get(mono, 0) + c * k * q
-    return ZetaPoly.zero()._like(out)
+            a, mono = images[mu]
+            out[mono] = out.get(mono, 0) + scale * k * a
+    return ZetaPoly.zero()._like({m: Fraction(n, common) for m, n in out.items()})
 
 
 # --- multiple zeta symbols ----------------------------------------------------

@@ -203,6 +203,14 @@ STDOUT_SHA256 = {
         ("qgenus", "--max", "10", "--cy", "--format", "json"),
         "624f844baad40b39b66e513937c3c05483979be23616d6ddd5e163c99c14786a",
     ),
+    "qgenus-12-json": (
+        ("qgenus", "--max", "12", "--format", "json"),
+        "211c506c2ec223a5304b019ad40b4b6bd8361193375e531e9fe0a940c6ee2718",
+    ),
+    "qgenus-12-cy-json": (
+        ("qgenus", "--max", "12", "--cy", "--format", "json"),
+        "1e0e451398eaec5b4ce5498ee00e0f2ba088aeba937d64540ba2602706e11995",
+    ),
     "qgenus-10-ascii": (
         ("qgenus", "--max", "10", "--ascii"),
         "67742dbfadcab08d8d6da2fad9db17b86ff79460a0620f59910670893caed059",
@@ -260,6 +268,7 @@ def test_crash_has_its_own_exit_code(monkeypatch, capsys):
         ("qgenus", "--max", "10"),
         ("verify", "--suite", "all"),
         ("mzv", "--args", "2", "--tol", "1e-8"),
+        ("qgenus", "--max", "12", "--format", "json"),
     ],
 )
 def test_closed_stdout_is_not_an_internal_error(args):

@@ -7,8 +7,10 @@ The storage contract that SymPoly shares with the other sparse linear
 combinations (QsymPoly, ZetaPoly, MzvValue, MultiPoly) is checked here too.
 """
 
+import random
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from operator import add, mul, sub
 
 import pytest
@@ -20,6 +22,7 @@ from gammagenus.symfunc import (
     SymPoly,
     _coefficient,
     _m_in_p,
+    _orbit_exponent_vectors,
     collect_symmetric_to_m,
     e_to_m_matrix,
     expand_in_vars,
@@ -126,6 +129,39 @@ def test_e_to_m_matrix_symmetric(n):
                 for mu, k in oracle[target, nu].items():
                     got[mu] = got.get(mu, 0) + c * k
             assert {mu: c for mu, c in got.items() if c} == {lam: 1}
+
+
+def _e_values(x):
+    """e_0(x), ..., e_n(x): the coefficients of prod_i (1 + x_i t)."""
+    e = [1] + [0] * len(x)
+    for xi in x:
+        for k in range(len(x), 0, -1):
+            e[k] += xi * e[k - 1]
+    return e
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_m_in_e_rows_at_seeded_points(n):
+    # m_lam = sum_nu c_nu e_nu checked by value at seeded points of n
+    # variables, where symmetric functions of weight n are faithful: m_lam(x)
+    # sums prod x_i^alpha_i over the distinct arrangements alpha of lam
+    # padded with zeros, e_k(x) comes from prod (1 + x_i t).  A wrong row
+    # leaves a nonzero difference of degree n, which vanishes at a point
+    # with coordinates drawn from 2*10^6 + 1 integers with probability at
+    # most n / (2*10^6 + 1) (Schwartz 1980; Zippel 1979).
+    rng = random.Random(n)
+    points = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(2)]
+    powers = [[[xi**k for k in range(n + 1)] for xi in x] for x in points]
+    e_at = [_e_values(x) for x in points]
+    for lam in partitions_of(n):
+        row = to_basis(SymPoly.basis_element("m", lam), "e").terms
+        orbit = _orbit_exponent_vectors(lam, n)
+        for pw, e in zip(powers, e_at):
+            m_value = sum(
+                prod(pw[i][a] for i, a in enumerate(alpha) if a) for alpha in orbit
+            )
+            e_value = sum(c * prod(e[k] for k in nu) for nu, c in row.items())
+            assert m_value == e_value, lam
 
 
 @lru_cache(maxsize=None)
