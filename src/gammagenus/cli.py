@@ -6,9 +6,9 @@ Subcommands: qgenus (print the Chern-class polynomial tables), mzv
 
 Each command imports the modules it runs inside its own function, so that
 every fresh process pays only for its command: importing this module loads
-no other package module, qgenus loads genus and render (and words with
---cy), mzv numeric, stuffle words, verify all of them; json is imported
-only for --format json.
+no other package module, qgenus loads genus and render (with --cy too),
+mzv numeric, stuffle words, verify all of them; json is imported only for
+--format json.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or budget errors,
 3 divergent MZV request, 4 internal error (any uncaught exception, such as

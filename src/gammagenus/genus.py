@@ -3,11 +3,12 @@
 The generating identity sum_i Q_i(e_1,...,e_i) = prod_j 1/Gamma(1+t_j)
 determines the Q_i.  The direct route reads each coefficient off as the
 zeta homomorphism applied to a monomial symmetric function: the coefficient
-of c_lambda in Q_i is zeta_hom(m_lambda).  An independent oracle expands
-the product with symbolic degree-d coefficients, collects the monomial
-coefficients and rewrites them in the elementary basis (counted rows, then
-triangular substitution along dominance order); the two must agree, and do
-so only because the elementary-to-monomial transition matrix is symmetric.
+of c_lambda in Q_i is zeta_hom(m_lambda).  An independent oracle reads the
+product the other way round: with G_d = zeta_hom(e_d), the coefficient of
+m_mu in prod_j (sum_d G_d t_j^d) is G_mu = prod_j G_(mu_j), and each m_mu is
+rewritten in the elementary basis (counted rows, then triangular
+substitution along dominance order); the two must agree, and do so only
+because the elementary-to-monomial transition matrix is symmetric.
 
 Setting c_1 = 0 (the Calabi-Yau specialization) kills every partition with
 a part 1, and the surviving coefficients become plain sums of convergent
@@ -17,9 +18,10 @@ multiple zeta values.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 
 from .partitions import as_partition, partitions_of, sort_key
-from .symfunc import SymPoly, _m_in_e
+from .symfunc import SymPoly, _m_in_e, _orbit_exponent_vectors
 from .zetaring import (
     GAMMA,
     MzvTerm,
@@ -31,7 +33,6 @@ from .zetaring import (
 )
 
 DEGREE_BUDGET = 12
-ORACLE_BUDGET = 6
 
 
 class GenusPolynomial:
@@ -102,14 +103,14 @@ class CyGenusPolynomial:
         )
 
 
-def _check_degree(i: int, budget: int, label: str) -> int:
+def _check_degree(i: int, label: str) -> int:
     if not isinstance(i, int) or isinstance(i, bool):
         raise TypeError(f"{label} degree must be an int, got {i!r}")
     if i < 1:
         raise ValueError(f"{label} degree must be >= 1, got {i}")
-    if i > budget:
+    if i > DEGREE_BUDGET:
         raise ValueError(
-            f"{label} degree {i} is beyond the configured budget {budget}"
+            f"{label} degree {i} is beyond the configured budget {DEGREE_BUDGET}"
         )
     return i
 
@@ -117,7 +118,7 @@ def _check_degree(i: int, budget: int, label: str) -> int:
 @lru_cache(maxsize=None)
 def q_genus(i: int) -> GenusPolynomial:
     """Q_i with the coefficient of c_lambda given by zeta_hom(m_lambda)."""
-    i = _check_degree(i, DEGREE_BUDGET, "genus")
+    i = _check_degree(i, "genus")
     coeffs = {}
     for lam in partitions_of(i):
         f = SymPoly.basis_element("m", lam)
@@ -125,42 +126,19 @@ def q_genus(i: int) -> GenusPolynomial:
     return GenusPolynomial(i, coeffs).validate()
 
 
-@lru_cache(maxsize=None)
 def q_genus_oracle(i: int) -> GenusPolynomial:
-    """Q_i read directly off the generating product, degree i at a time.
+    """Q_i read directly off the generating product prod_j (sum_d G_d t_j^d).
 
-    Expands prod_{j<=i} (sum_d G_d t_j^d) with G_d = zeta_hom(e_d), keeps
-    total degree <= i, collects the degree-i part in the monomial basis and
-    rewrites it in the elementary basis: each m_mu comes from the counted
-    e->m rows by triangular substitution along dominance order.
+    With G_0 = 1 and G_d = zeta_hom(e_d), the monomial t^mu has coefficient
+    G_mu = prod_j G_(mu_j), so the degree-i part is sum_(mu |- i) G_mu m_mu;
+    each m_mu is rewritten in the elementary basis from the counted e->m
+    rows by triangular substitution along dominance order.
     """
-    i = _check_degree(i, ORACLE_BUDGET, "oracle")
+    i = _check_degree(i, "oracle")
     g = [zeta_hom(SymPoly.basis_element("e", (d,))) for d in range(1, i + 1)]
-    g.insert(0, ZetaPoly.one())
-    # poly: exponent vector over t_1..t_i -> ZetaPoly, truncated past degree i
-    poly = {(0,) * i: ZetaPoly.one()}
-    for j in range(i):
-        grown: dict = {}
-        for exps, c in poly.items():
-            room = i - sum(exps)
-            for d in range(room + 1):
-                if not g[d]:
-                    continue
-                key = exps[:j] + (d,) + exps[j + 1 :]
-                piece = c * g[d]
-                prev = grown.get(key)
-                grown[key] = piece if prev is None else prev + piece
-        poly = grown
-    by_partition = {}
-    for exps, c in poly.items():
-        if sum(exps) != i:
-            continue
-        rep = tuple(sorted((e for e in exps if e), reverse=True))
-        if exps == rep + (0,) * (i - len(rep)):
-            by_partition[rep] = c
-    # the degree-i part is sum_mu b_mu m_mu; rewrite each m_mu in the e basis
     coeffs = {lam: ZetaPoly.zero() for lam in partitions_of(i)}
-    for mu, b in by_partition.items():
+    for mu in partitions_of(i):
+        b = prod((g[part - 1] for part in mu), start=ZetaPoly.one())
         for lam, q in _m_in_e(mu).items():
             coeffs[lam] = coeffs[lam] + b.scaled(q)
     return GenusPolynomial(i, coeffs).validate()
@@ -173,25 +151,15 @@ def mzv_expansion(lam) -> list:
     the distinct rearrangements of the parts, i.e. the words underlying
     sym_to_words(m_lam), in ascending word order.
     """
-    from .words import sym_to_words, word_key
-
     lam = as_partition(lam)
     if not lam or min(lam) < 2:
         raise ValueError(f"partition {lam or '()'} must have all parts >= 2")
-    expansion = sym_to_words(SymPoly.basis_element("m", lam))
-    out = []
-    for w in sorted(expansion.terms, key=word_key):
-        c = expansion.terms[w]
-        if c != 1:
-            raise AssertionError("monomial word expansion must be 0/1")
-        out.append(MzvTerm(1, w))
-    return out
+    return [MzvTerm(1, w) for w in _orbit_exponent_vectors(lam, len(lam))]
 
 
-@lru_cache(maxsize=None)
 def q_genus_cy(i: int) -> CyGenusPolynomial:
     """The c_1 = 0 restriction of Q_i, coefficients as MZV term lists."""
-    i = _check_degree(i, DEGREE_BUDGET, "genus")
+    i = _check_degree(i, "genus")
     if i < 2:
         raise ValueError("the c_1 = 0 specialization needs degree >= 2")
     coeffs = {}

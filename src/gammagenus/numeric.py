@@ -50,9 +50,6 @@ BLOCK = 1 << 15
 FIRST_RUNG = 100
 DEFAULT_MAX_CUTOFF = 20_000_000
 
-# Results kept by mzv: a caller that asks distinct questions (a stream of
-# requests) must not grow the process, and generator_value keeps its own.
-MZV_CACHE_SIZE = 128
 # Cutoff plans kept, one per (composition, max_cutoff), each well under a
 # kilobyte: the 232 compositions of weight <= 12 with every part >= 2 fit.
 PLAN_CACHE_SIZE = 256
@@ -403,11 +400,7 @@ def mzv_info(args, tol: float, *, cutoff=None, max_cutoff=DEFAULT_MAX_CUTOFF):
     and 20 000 000 rungs are never chosen: only an explicit cutoff reaches
     them.
     """
-    return _mzv_info(check_convergent_composition(args), tol, cutoff, max_cutoff)
-
-
-def _mzv_info(comp, tol, cutoff, max_cutoff):
-    """mzv_info for a composition already checked to converge."""
+    comp = check_convergent_composition(args)
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
@@ -434,15 +427,9 @@ def _mzv_info(comp, tol, cutoff, max_cutoff):
     return BoundedValue(value, bound), N
 
 
-@lru_cache(maxsize=MZV_CACHE_SIZE)
-def _mzv_cached(comp, tol, max_cutoff):
-    return _mzv_info(comp, tol, None, max_cutoff)[0]
-
-
 def mzv(args, tol: float, *, max_cutoff=DEFAULT_MAX_CUTOFF) -> BoundedValue:
     """Convergent multiple zeta value with error_bound <= tol."""
-    comp = check_convergent_composition(args)
-    return _mzv_cached(comp, float(tol), int(max_cutoff))
+    return mzv_info(args, tol, max_cutoff=max_cutoff)[0]
 
 
 # --- generator values -----------------------------------------------------------
@@ -454,7 +441,6 @@ def _stored_gamma() -> BoundedValue:
     return BoundedValue(v, abs(v) * 2.0 ** -52)
 
 
-@lru_cache(maxsize=None)
 def _stored_pi2() -> BoundedValue:
     v = float(PI_DECIMAL)
     pi_bv = BoundedValue(v, abs(v) * 2.0 ** -52)
@@ -508,24 +494,25 @@ def eval_qsym(q, tol: float = 1e-8) -> BoundedValue:
 
 # --- Taylor coefficients of 1/Gamma(1+z) ----------------------------------------
 
+_PRODUCT_TERMS = 4000
 _VALIDATION_POINTS = (-0.4, -0.2, 0.1, 0.3, 0.5)
 _VALIDATION_DEGREE = 12
 _WINDOW_DEGREE = 18
 
 
-def recip_gamma_product(z: float, terms: int = 4000) -> BoundedValue:
+def recip_gamma_product(z: float) -> BoundedValue:
     """1/Gamma(1+z) by the Weierstrass product, with error control.
 
     log(1/Gamma(1+z)) = gamma z + sum_{n>=1} [log(1+z/n) - z/n]; the product
-    is truncated at `terms` and the rest replaced by its expansion in zeta
-    tails sum_{k>=2} (-1)^(k-1) z^k/k sum_{n>M} n^-k, cut at k = 12 with an
-    explicit geometric remainder.
+    is truncated at M = _PRODUCT_TERMS factors and the rest replaced by its
+    expansion in zeta tails sum_{k>=2} (-1)^(k-1) z^k/k sum_{n>M} n^-k, cut
+    at k = 12 with an explicit geometric remainder.
     """
     import numpy as np
 
     if not -0.9 <= z <= 0.9:
         raise ValueError("sample point out of the validated range")
-    M = int(terms)
+    M = _PRODUCT_TERMS
     gamma_bv = _stored_gamma()
     n = np.arange(1, M + 1, dtype=np.float64)
     zn = z / n
@@ -550,7 +537,6 @@ def recip_gamma_product(z: float, terms: int = 4000) -> BoundedValue:
     return BoundedValue(value, bound)
 
 
-@lru_cache(maxsize=None)
 def _recip_gamma_series(degree: int):
     """BoundedValue Taylor coefficients g_0..g_degree of 1/Gamma(1+z).
 

@@ -175,18 +175,18 @@ def expand_in_vars(f: SymPoly, n: int) -> MultiPoly:
     return out
 
 
-def collect_symmetric_to_m(mp: MultiPoly, strict: bool = True) -> SymPoly:
+def collect_symmetric_to_m(mp: MultiPoly) -> SymPoly:
     """Collect a symmetric MultiPoly into the m basis.
 
-    With strict=True the coefficient of every monomial is compared against
-    its orbit representative, so an asymmetric input raises instead of being
-    silently mangled.
+    The coefficient of every monomial is compared against its orbit
+    representative, so an asymmetric input raises instead of being silently
+    mangled.
     """
     reps: dict = {}
     for exps, c in mp.terms.items():
         rep = tuple(sorted(exps, reverse=True))
         if rep in reps:
-            if strict and reps[rep] != c:
+            if reps[rep] != c:
                 raise ValueError("polynomial is not symmetric")
         else:
             reps[rep] = c

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .partitions import partitions_of
-from .rationals import LinearCombination, frac_from_str, frac_str
+from .rationals import LinearCombination, exact, frac_from_str, frac_str
 from .symfunc import SymPoly, _m_in_p, to_basis
 
 GAMMA = "gamma"
@@ -175,7 +175,7 @@ def _power_sum_images(n: int) -> tuple:
     images maps mu to (a, monomial), a an int; D is the lcm of the rational
     factors' denominators, so the images of one weight add as ints.
     """
-    exact = {}
+    factors = {}
     for mu in partitions_of(n):
         q, pairs = Fraction(1), []
         for part in mu:
@@ -185,11 +185,11 @@ def _power_sum_images(n: int) -> tuple:
                 ((mono, c),) = zeta_gen(part).terms.items()
                 q *= c
                 pairs += mono
-        exact[mu] = q, _monomial(pairs)
-    D = lcm(*(q.denominator for q, _ in exact.values()))
+        factors[mu] = q, _monomial(pairs)
+    D = lcm(*(q.denominator for q, _ in factors.values()))
     return D, {
         mu: (q.numerator * (D // q.denominator), mono)
-        for mu, (q, mono) in exact.items()
+        for mu, (q, mono) in factors.items()
     }
 
 
@@ -199,8 +199,8 @@ def zeta_hom(f: SymPoly) -> ZetaPoly:
     Every p_lambda maps to one monomial: the factors of its parts multiply
     and their exponents add.  An m_lambda is read from its integer row
     r * m_lambda = sum_mu k_mu p_mu.  Every term is scaled to one common
-    denominator, the sums run over ints, and each output coefficient is one
-    Fraction.
+    denominator, the sums run over ints, and each output coefficient is
+    divided once, through rationals.exact (an int when it is whole).
     """
     if f.basis == "e":
         f = to_basis(f, "m")
@@ -216,7 +216,9 @@ def zeta_hom(f: SymPoly) -> ZetaPoly:
         for mu, k in row.items():
             a, mono = images[mu]
             out[mono] = out.get(mono, 0) + scale * k * a
-    return ZetaPoly.zero()._like({m: Fraction(n, common) for m, n in out.items()})
+    return ZetaPoly.zero()._like(
+        {m: exact(Fraction(n, common)) for m, n in out.items()}
+    )
 
 
 # --- multiple zeta symbols ----------------------------------------------------

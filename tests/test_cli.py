@@ -135,6 +135,7 @@ BASE_MODULES = {"partitions", "rationals", "render", "symfunc", "zetaring"}
 COMMAND_MODULES = {
     "import": ((), set()),
     "qgenus": (("qgenus", "--max", "4"), BASE_MODULES | {"genus"}),
+    "qgenus-cy": (("qgenus", "--max", "4", "--cy"), BASE_MODULES | {"genus"}),
     "mzv": (("mzv", "--args", "2", "--tol", "1e-8"), BASE_MODULES | {"numeric"}),
     "stuffle": (("stuffle", "--left", "2", "--right", "3"), BASE_MODULES | {"words"}),
 }
@@ -218,6 +219,10 @@ STDOUT_SHA256 = {
     "qgenus-10-cy": (
         ("qgenus", "--max", "10", "--cy"),
         "1cf6d50e7875363c2e1a6606ffe4df13935efebfda49b72c847d17fc778054ae",
+    ),
+    "qgenus-12-cy": (
+        ("qgenus", "--max", "12", "--cy"),
+        "93b0c158fd44e7bb3ec70b6d23ebde7b546a9fc0755d5a9b9cfa92be51764a24",
     ),
     "mzv-62": (
         ("mzv", "--args", "6,2", "--tol", "1e-8"),

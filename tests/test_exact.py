@@ -41,6 +41,11 @@ def assert_exact(values):
         assert type(c) in (int, Fraction), f"{c!r} is a {type(c).__name__}"
 
 
+def assert_whole_values_are_ints(values):
+    for c in values:
+        assert not (type(c) is Fraction and c.denominator == 1), f"{c!r} is whole"
+
+
 def fraction_seeded(poly):
     """The same combination with every coefficient held as a Fraction."""
     return poly._like({k: Fraction(c) for k, c in poly.terms.items()})
@@ -90,7 +95,20 @@ def test_symmetric_maps_are_exact_and_seed_independent(f):
     assert words_image == sym_to_words(seeded)
     ring_image = zeta_hom(f)
     assert_exact(ring_image.terms.values())
+    assert_whole_values_are_ints(ring_image.terms.values())
     assert ring_image == zeta_hom(seeded)
+
+
+def test_zeta_hom_stores_whole_coefficients_as_ints():
+    # the images of every m_lam and e_lam up to weight 8; m_(3) maps to
+    # zeta(3) with the int coefficient 1
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for basis in ("m", "e"):
+                image = zeta_hom(SymPoly.basis_element(basis, lam))
+                assert_exact(image.terms.values())
+                assert_whole_values_are_ints(image.terms.values())
+    assert type(zeta_hom(SymPoly.basis_element("m", (3,))).terms[(("zeta3", 1),)]) is int
 
 
 @settings(max_examples=40, deadline=None)

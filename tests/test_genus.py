@@ -19,6 +19,8 @@ from gammagenus.genus import (
 )
 from gammagenus.numeric import eval_mzv_terms, eval_zeta_poly
 from gammagenus.partitions import partitions_of
+from gammagenus.symfunc import SymPoly
+from gammagenus.words import sym_to_words, word_key
 from gammagenus.zetaring import GAMMA, MzvTerm, ZetaPoly, zeta_even, zeta_gen
 
 GAMMA_GEN = ZetaPoly.generator(GAMMA)
@@ -126,7 +128,7 @@ def test_budgets():
     with pytest.raises(ValueError):
         q_genus(0)
     with pytest.raises(ValueError):
-        q_genus_oracle(7)
+        q_genus_oracle(DEGREE_BUDGET + 1)
     for bad in (2.7, 2.0, True, "2"):
         with pytest.raises(TypeError):
             q_genus(bad)
@@ -156,6 +158,22 @@ def test_mzv_expansion_examples():
         MzvTerm(Fraction(1), (2, 6)),
     ]
     assert mzv_expansion((2, 2, 2)) == [MzvTerm(Fraction(1), (2, 2, 2))]
+
+
+def test_mzv_expansion_is_the_monomial_word_expansion():
+    # the words of sym_to_words(m_lam) in word order, each with coefficient 1,
+    # for every partition of weight <= 16 with all parts >= 2
+    checked = 0
+    for n in range(2, 17):
+        for lam in partitions_of(n):
+            if min(lam) < 2:
+                continue
+            words = sym_to_words(SymPoly.basis_element("m", lam)).terms
+            assert set(words.values()) == {1}, lam
+            expected = [MzvTerm(1, w) for w in sorted(words, key=word_key)]
+            assert mzv_expansion(lam) == expected, lam
+            checked += 1
+    assert checked == 230
 
 
 def test_mzv_expansion_rejects_unit_parts():

@@ -25,13 +25,11 @@ from gammagenus.numeric import (
     CutoffBudgetError,
     DivergentMzvError,
     GAMMA_DECIMAL,
-    MZV_CACHE_SIZE,
     PI_DECIMAL,
     PLAN_CACHE_SIZE,
     _choose_cutoff,
     _dp_sum,
     _majorant_chain,
-    _mzv_cached,
     _plan,
     _predicted_bound,
     _slop,
@@ -302,16 +300,19 @@ def test_mzv_unreachable_tolerance_reports_none():
     assert "max_cutoff" not in message
 
 
-def test_mzv_cache_is_bounded():
-    _mzv_cached.cache_clear()
-    tols = [1e-2 * (1 + i / 1000) for i in range(MZV_CACHE_SIZE + 10)]
-    for tol in tols:
-        mzv((2,), tol)
-    info = _mzv_cached.cache_info()
-    assert info.maxsize == MZV_CACHE_SIZE
-    assert info.currsize == MZV_CACHE_SIZE
-    assert mzv((2,), tols[-1]) is mzv((2,), tols[-1])
-    assert _mzv_cached.cache_info().hits == info.hits + 2
+def test_distinct_mzv_requests_do_not_grow_the_process():
+    # a stream of distinct requests keeps no result: once the plan of (2,1)
+    # is built, 2000 tolerances retain next to nothing
+    mzv((2, 1), 1e-3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(2000):
+            mzv((2, 1), 1e-3 * (1 + i / 2000))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 4096
 
 
 # (composition, tol, max_cutoff) -> the cutoff mzv_info chooses, or the
