@@ -48,10 +48,10 @@ SUM_EPS = 2.5e-16
 BLOCK = 1 << 15
 
 FIRST_RUNG = 100
-DEFAULT_MAX_CUTOFF = 20_000_000
+MAX_CUTOFF = 20_000_000
 
-# Cutoff plans kept, one per (composition, max_cutoff), each well under a
-# kilobyte: the 232 compositions of weight <= 12 with every part >= 2 fit.
+# Cutoff plans kept, one per composition, each well under a kilobyte: the
+# 232 compositions of weight <= 12 with every part >= 2 fit.
 PLAN_CACHE_SIZE = 256
 
 ZETA_TOL = 1e-12
@@ -61,16 +61,8 @@ PI_DECIMAL = "3.14159265358979323846264338327950288419716939937510"
 
 
 class CutoffBudgetError(ValueError):
-    """Raised when the tolerance would need a cutoff beyond the budget.
-
-    The cutoff that would have been needed is reported in required_cutoff
-    (None when no finite cutoff reaches the tolerance, which happens once
-    the rounding allowance itself exceeds it).
-    """
-
-    def __init__(self, message: str, required_cutoff=None):
-        super().__init__(message)
-        self.required_cutoff = required_cutoff
+    """No rung of the cutoff ladder certifies the tolerance; the message
+    names the tightest tolerance the ladder does certify."""
 
 
 class BoundedValue:
@@ -263,7 +255,12 @@ def _predicted_bound(comp, N: int, A, r) -> float:
         partial_cap = A[2] * _sum_majorant(comp[0], r[2])
     rup = _remainder_cap(comp, N, A, r)
     slop_cap = _slop(k, N, partial_cap + caps + 1.0)
-    return (t2cap * ez + 0.55 * rup + slop_cap) * (1.0 + 1e-9)
+    return _bound(t2cap, ez, rup, slop_cap)
+
+
+def _bound(t2: float, ez: float, rup: float, slop: float) -> float:
+    """Tail, drift and rounding terms with headroom (actual values or caps)."""
+    return (t2 * ez + 0.55 * rup + slop) * (1.0 + 1e-9)
 
 
 # --- nested summation -----------------------------------------------------------
@@ -313,99 +310,66 @@ def _dp_sum(comp, N: int):
 
 
 @lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _plan(comp, max_cutoff: int) -> tuple:
-    """The tolerance-free part of the cutoff choice: (rungs, beyond).
+def _plan(comp) -> array:
+    """The tolerance-free part of the cutoff choice, four doubles per rung.
 
-    Rung i of the ladder is N = min(FIRST_RUNG * 2^i, max_cutoff).  rungs
-    holds four doubles per rung up to the one whose predicted bound is
-    least (no later rung can be first to meet a target): that bound,
-    zeta_tail_estimate(N, s_1) and _remainder_cap.  beyond holds (n, bound)
-    for the virtual rungs max_cutoff * 2^j a refusal walks to name the
-    cutoff it would need, up to 2^62 or until a bound past 2^40 stops
-    falling; only those below every earlier bound are kept, since no other
-    can be the first to meet a target the ladder missed.
+    Rung i of the ladder is N = min(FIRST_RUNG * 2^i, MAX_CUTOFF).  The
+    array runs up to the rung whose predicted bound is least (no later rung
+    can be first to meet a target) and holds, per rung, that bound,
+    zeta_tail_estimate(N, s_1) and _remainder_cap.
     """
     A, r = _majorant_chain(comp)
-    table = []
-    n = FIRST_RUNG
-    while True:
-        N = min(n, max_cutoff)
-        table.append((_predicted_bound(comp, N, A, r), N))
-        if N == max_cutoff:
-            break
-        n *= 2
-    least = min(range(len(table)), key=lambda i: table[i][0])
+    ladder = [FIRST_RUNG]
+    while ladder[-1] < MAX_CUTOFF:
+        ladder.append(min(2 * ladder[-1], MAX_CUTOFF))
+    bounds = [_predicted_bound(comp, N, A, r) for N in ladder]
     rungs = array("d")
-    for pred, N in table[: least + 1]:
+    for pred, N in zip(bounds[: bounds.index(min(bounds)) + 1], ladder):
         rup = _remainder_cap(comp, N, A, r)
         rungs.extend((pred, *zeta_tail_estimate(N, comp[0]), rup))
-    beyond = []
-    lowest = rungs[-4]
-    n = max_cutoff
-    best = table[-1][0]
-    while n < 1 << 62:
-        n *= 2
-        pred = _predicted_bound(comp, n, A, r)
-        if pred < lowest:
-            beyond.append((n, pred))
-            lowest = pred
-        if pred >= best and n > 1 << 40:
-            break
-        best = min(best, pred)
-    return rungs, tuple(beyond)
+    return rungs
 
 
-def _choose_cutoff(comp, tol: float, max_cutoff: int) -> tuple:
+def _choose_cutoff(comp, tol: float) -> tuple:
     """(N, zeta-tail midpoint, its error, drift cap) for the first rung of the
     plan whose predicted bound is at most 0.8 * tol; CutoffBudgetError if none."""
-    rungs, beyond = _plan(comp, max_cutoff)
+    rungs = _plan(comp)
     target = 0.8 * tol
     for i in range(0, len(rungs), 4):
         if rungs[i] <= target:
-            return min(FIRST_RUNG << (i // 4), max_cutoff), *rungs[i + 1 : i + 4]
-    required = next((n for n, pred in beyond if pred <= target), None)
-    if required:
-        needed = (
-            f"a cutoff about {required}, over the budget of {max_cutoff}; "
-            "raise max_cutoff or relax tol"
-        )
-    else:
-        tightest = rungs[-4] / 0.8
-        step = 10.0 ** (math.floor(math.log10(tightest)) - 1)  # round up, 2 digits
-        tightest = math.ceil(tightest / step) * step
-        needed = (
-            "more than 64-bit summation can certify under any cutoff budget; "
-            f"the tightest it certifies is {tightest:.1e}; relax the tolerance"
-        )
+            return min(FIRST_RUNG << (i // 4), MAX_CUTOFF), *rungs[i + 1 : i + 4]
+    tightest = rungs[-4] / 0.8
+    step = 10.0 ** (math.floor(math.log10(tightest)) - 1)  # round up, 2 digits
+    tightest = math.ceil(tightest / step) * step
     raise CutoffBudgetError(
-        f"tolerance {tol:g} for {mzv_label(comp)} needs {needed}",
-        required_cutoff=required,
+        f"tolerance {tol:g} for {mzv_label(comp)} needs "
+        "more than 64-bit summation can certify under any cutoff budget; "
+        f"the tightest it certifies is {tightest:.1e}; relax the tolerance"
     )
 
 
-def mzv_info(args, tol: float, *, cutoff=None, max_cutoff=DEFAULT_MAX_CUTOFF):
+def mzv_info(args, tol: float, *, cutoff=None):
     """(BoundedValue, cutoff used) for the multiple zeta value at args.
 
-    The cutoff is normally the first rung of a doubling ladder (100, 200,
-    400, ... up to max_cutoff) whose predicted bound is at most 0.8 * tol;
-    the ladder and its bounds are planned once per (composition,
-    max_cutoff) and kept, so a call pays only for its sum.  Passing cutoff
-    explicitly skips the ladder (the reported bound is then whatever that
-    cutoff honestly achieves).
+    The cutoff is normally the first rung of the fixed doubling ladder (100,
+    200, 400, ... up to MAX_CUTOFF) whose predicted bound is at most
+    0.8 * tol; the ladder and its bounds are planned once per composition
+    and kept, so a call pays only for its sum.  Passing cutoff explicitly
+    skips the ladder (the reported bound is then whatever that cutoff
+    honestly achieves).
 
     The predicted bound falls with the cutoff until the rounding allowance,
     which grows with it, takes over; the ladder never goes past the rung
     where it is least.  For (2,1), (2,1,1) and (2,1,1,1) that rung is
-    N = 3 276 800, so under the default budget the 6 553 600, 13 107 200
-    and 20 000 000 rungs are never chosen: only an explicit cutoff reaches
-    them.
+    N = 3 276 800, so the 6 553 600, 13 107 200 and 20 000 000 rungs are
+    never chosen: only an explicit cutoff reaches them.
     """
     comp = check_convergent_composition(args)
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     if cutoff is None:
-        N, zmid, ez, rup = _choose_cutoff(comp, tol, int(max_cutoff))
+        N, zmid, ez, rup = _choose_cutoff(comp, tol)
     else:
         N = int(cutoff)
         if N < 100:
@@ -419,7 +383,7 @@ def mzv_info(args, tol: float, *, cutoff=None, max_cutoff=DEFAULT_MAX_CUTOFF):
     # width so a doubled-cutoff rerun stays inside this run's bound.
     value = partial + t2 * zmid + 0.5 * rup
     slop = _slop(k, N, partial + sum(carry.values()) + 1.0)
-    bound = (t2 * ez + 0.55 * rup + slop) * (1.0 + 1e-9)
+    bound = _bound(t2, ez, rup, slop)
     if cutoff is None and bound > tol:
         raise AssertionError(
             f"bound {bound:g} exceeded tol {tol:g} after ladder choice"
@@ -427,9 +391,9 @@ def mzv_info(args, tol: float, *, cutoff=None, max_cutoff=DEFAULT_MAX_CUTOFF):
     return BoundedValue(value, bound), N
 
 
-def mzv(args, tol: float, *, max_cutoff=DEFAULT_MAX_CUTOFF) -> BoundedValue:
+def mzv(args, tol: float) -> BoundedValue:
     """Convergent multiple zeta value with error_bound <= tol."""
-    return mzv_info(args, tol, max_cutoff=max_cutoff)[0]
+    return mzv_info(args, tol)[0]
 
 
 # --- generator values -----------------------------------------------------------

@@ -179,17 +179,22 @@ def collect_symmetric_to_m(mp: MultiPoly) -> SymPoly:
     """Collect a symmetric MultiPoly into the m basis.
 
     The coefficient of every monomial is compared against its orbit
-    representative, so an asymmetric input raises instead of being silently
-    mangled.
+    representative, and every orbit must be complete (as many monomials as
+    its exponent vector has distinct arrangements), so an asymmetric input
+    raises instead of being silently mangled.
     """
     reps: dict = {}
     for exps, c in mp.terms.items():
         rep = tuple(sorted(exps, reverse=True))
-        if rep in reps:
-            if reps[rep] != c:
-                raise ValueError("polynomial is not symmetric")
-        else:
-            reps[rep] = c
+        if reps.setdefault(rep, c) != c:
+            raise ValueError("polynomial is not symmetric")
+    # the monomials are distinct, so each orbit is full iff the counts add up
+    arrangements = sum(
+        factorial(mp.nvars) // prod(factorial(r) for r in Counter(rep).values())
+        for rep in reps
+    )
+    if arrangements != len(mp.terms):
+        raise ValueError("polynomial is not symmetric")
     return SymPoly("m", {tuple(p for p in rep if p): c for rep, c in reps.items()})
 
 

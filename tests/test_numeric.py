@@ -6,6 +6,7 @@ must land inside its own reported error bound of the oracle value, not just
 the value looks fine.
 """
 
+import hashlib
 import itertools
 import math
 import resource
@@ -20,7 +21,7 @@ from mpmath import mp
 
 from gammagenus.numeric import (
     BLOCK,
-    DEFAULT_MAX_CUTOFF,
+    MAX_CUTOFF,
     BoundedValue,
     CutoffBudgetError,
     DivergentMzvError,
@@ -246,8 +247,8 @@ def test_mzv_largest_cutoff_fits_in_1gb():
     # library call asks for it explicitly
     mp.dps = 30
     script = (
-        "from gammagenus.numeric import DEFAULT_MAX_CUTOFF, mzv_info\n"
-        "v, n = mzv_info((2, 1), 1e-2, cutoff=DEFAULT_MAX_CUTOFF)\n"
+        "from gammagenus.numeric import MAX_CUTOFF, mzv_info\n"
+        "v, n = mzv_info((2, 1), 1e-2, cutoff=MAX_CUTOFF)\n"
         "print(repr(v.value), repr(v.bound), n)\n"
     )
 
@@ -275,23 +276,10 @@ def test_mzv_divergent():
         mzv((1,), 1e-6)
 
 
-def test_mzv_budget_exhausted_reports_requirement():
-    # depth 2 with a trailing one has no closed tail correction, so the
-    # cutoff scales like 1/tol and a small budget must fail loudly
-    with pytest.raises(CutoffBudgetError) as info:
-        mzv((2, 1), 1e-6, max_cutoff=1000)
-    exc = info.value
-    assert exc.required_cutoff is not None
-    assert exc.required_cutoff > 1000
-    assert "1000" in str(exc)
-    assert "zeta(2,1) needs a cutoff about" in str(exc)
-
-
 def test_mzv_unreachable_tolerance_reports_none():
     # rounding slop grows with the cutoff, so 1e-14 can never be certified
     with pytest.raises(CutoffBudgetError) as info:
-        mzv((2,), 1e-14, max_cutoff=10_000)
-    assert info.value.required_cutoff is None
+        mzv((2,), 1e-14)
     # no cutoff helps, so the message spells zeta(2) and advises only the
     # tolerance
     message = str(info.value)
@@ -315,295 +303,220 @@ def test_distinct_mzv_requests_do_not_grow_the_process():
     assert retained < 4096
 
 
-# (composition, tol, max_cutoff) -> the cutoff mzv_info chooses, or the
-# (message, required_cutoff) of the CutoffBudgetError it raises, as the
-# ladder decided them rung by rung.  Every stream family appears; a
-# tolerance listed with its two float neighbours is a rung's predicted bound
-# over 0.8, where the choice flips between rungs or to a refusal (for the
-# last three such groups, a virtual rung past a small max_cutoff, where the
-# required cutoff flips).
+# (composition, tol) -> the cutoff mzv_info chooses, or the message of the
+# CutoffBudgetError it raises, as the ladder decided them rung by rung.
+# Every stream family appears; a tolerance listed with its two float
+# neighbours is a rung's predicted bound over 0.8, where the choice flips
+# between rungs or to a refusal.
 MZV_DECISIONS = [
-    ((3,), 1e-11, 20_000_000, 100),
-    ((12,), 0.001, 20_000_000, 100),
-    ((2, 1), 0.001, 20_000_000, 800),
-    ((2, 1), 3.7e-06, 20_000_000, 204800),
-    ((2, 1), 1e-08, 20_000_000, (
+    ((3,), 1e-11, 100),
+    ((12,), 0.001, 100),
+    ((2, 1), 0.001, 800),
+    ((2, 1), 3.7e-06, 204800),
+    ((2, 1), 1e-08, (
         "tolerance 1e-08 for zeta(2,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 4.0e-07; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((5, 1), 3.7e-06, 20_000_000, 100),
-    ((5, 1), 1e-11, 20_000_000, (
+    ((5, 1), 3.7e-06, 100),
+    ((5, 1), 1e-11, (
         "tolerance 1e-11 for zeta(5,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 1.2e-11; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((7, 1), 1e-11, 20_000_000, 100),
-    ((2, 1, 1), 0.001, 20_000_000, 12800),
-    ((2, 1, 1), 3.7e-06, 20_000_000, (
+    ((7, 1), 1e-11, 100),
+    ((2, 1, 1), 0.001, 12800),
+    ((2, 1, 1), 3.7e-06, (
         "tolerance 3.7e-06 for zeta(2,1,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 7.3e-06; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 1, 1, 1), 0.001, 20_000_000, 204800),
-    ((2, 1, 1, 1), 3.7e-06, 20_000_000, (
+    ((2, 1, 1, 1), 0.001, 204800),
+    ((2, 1, 1, 1), 3.7e-06, (
         "tolerance 3.7e-06 for zeta(2,1,1,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 1.4e-04; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 2), 3.7e-06, 20_000_000, 800),
-    ((2, 2), 1e-08, 20_000_000, 12800),
-    ((2, 2), 1e-11, 20_000_000, (
+    ((2, 2), 3.7e-06, 800),
+    ((2, 2), 1e-08, 12800),
+    ((2, 2), 1e-11, (
         "tolerance 1e-11 for zeta(2,2) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 1.1e-09; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 2, 2, 2, 2), 3.7e-06, 20_000_000, 1600),
-    ((2, 2, 2, 2, 2), 1e-08, 20_000_000, 25600),
-    ((2, 2, 2, 2, 2), 1e-11, 20_000_000, (
+    ((2, 2, 2, 2, 2), 3.7e-06, 1600),
+    ((2, 2, 2, 2, 2), 1e-08, 25600),
+    ((2, 2, 2, 2, 2), 1e-11, (
         "tolerance 1e-11 for zeta(2,2,2,2,2) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 9.0e-09; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((3, 3), 1e-11, 20_000_000, 800),
-    ((6, 6), 1e-11, 20_000_000, 100),
-    ((3, 2, 2), 1e-08, 20_000_000, 400),
-    ((3, 2, 2), 1e-11, 20_000_000, (
+    ((3, 3), 1e-11, 800),
+    ((6, 6), 1e-11, 100),
+    ((3, 2, 2), 1e-08, 400),
+    ((3, 2, 2), 1e-11, (
         "tolerance 1e-11 for zeta(3,2,2) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 1.3e-10; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 3, 2), 1e-08, 20_000_000, 400),
-    ((2, 2, 3), 3.7e-06, 20_000_000, 800),
-    ((2, 2, 3), 1e-08, 20_000_000, 12800),
-    ((4, 2, 2, 2), 1e-11, 20_000_000, (
+    ((2, 3, 2), 1e-08, 400),
+    ((2, 2, 3), 3.7e-06, 800),
+    ((2, 2, 3), 1e-08, 12800),
+    ((4, 2, 2, 2), 1e-11, (
         "tolerance 1e-11 for zeta(4,2,2,2) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 5.3e-11; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 4, 3, 3), 1e-08, 20_000_000, 100),
-    ((2, 4, 3, 3), 1e-11, 20_000_000, (
+    ((2, 4, 3, 3), 1e-08, 100),
+    ((2, 4, 3, 3), 1e-11, (
         "tolerance 1e-11 for zeta(2,4,3,3) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 2.8e-11; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2,), 6.849617797429321e-13, 20_000_000, (
+    ((2,), 6.849617797429321e-13, (
         "tolerance 6.84962e-13 for zeta(2) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 6.9e-13; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2,), 6.849617797429322e-13, 20_000_000, 100),
-    ((2,), 6.849617797429323e-13, 20_000_000, 100),
-    ((2, 1), 0.006875000009484148, 20_000_000, 200),
-    ((2, 1), 0.006875000009484149, 20_000_000, 100),
-    ((2, 1), 0.00687500000948415, 20_000_000, 100),
-    ((2, 1), 0.0017187500136972731, 20_000_000, 800),
-    ((2, 1), 0.0017187500136972734, 20_000_000, 400),
-    ((2, 1), 0.0017187500136972736, 20_000_000, 400),
-    ((2, 1), 5.371144553888458e-05, 20_000_000, 25600),
-    ((2, 1), 5.371144553888459e-05, 20_000_000, 12800),
-    ((2, 1), 5.3711445538884596e-05, 20_000_000, 12800),
-    ((2, 1), 3.909561898757254e-07, 20_000_000, (
+    ((2,), 6.849617797429322e-13, 100),
+    ((2,), 6.849617797429323e-13, 100),
+    ((2, 1), 0.006875000009484148, 200),
+    ((2, 1), 0.006875000009484149, 100),
+    ((2, 1), 0.00687500000948415, 100),
+    ((2, 1), 0.0017187500136972731, 800),
+    ((2, 1), 0.0017187500136972734, 400),
+    ((2, 1), 0.0017187500136972736, 400),
+    ((2, 1), 5.371144553888458e-05, 25600),
+    ((2, 1), 5.371144553888459e-05, 12800),
+    ((2, 1), 5.3711445538884596e-05, 12800),
+    ((2, 1), 3.909561898757254e-07, (
         "tolerance 3.90956e-07 for zeta(2,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 4.0e-07; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 1), 3.9095618987572544e-07, 20_000_000, 3276800),
-    ((2, 1), 3.909561898757255e-07, 20_000_000, 3276800),
-    ((3, 2, 2), 5.674928479302627e-07, 20_000_000, 200),
-    ((3, 2, 2), 5.674928479302628e-07, 20_000_000, 100),
-    ((3, 2, 2), 5.674928479302629e-07, 20_000_000, 100),
-    ((3, 2, 2), 8.880006239755668e-09, 20_000_000, 800),
-    ((3, 2, 2), 8.88000623975567e-09, 20_000_000, 400),
-    ((3, 2, 2), 8.880006239755671e-09, 20_000_000, 400),
-    ((2, 1, 1, 1), 0.4196594171512985, 20_000_000, 200),
-    ((2, 1, 1, 1), 0.41965941715129856, 20_000_000, 100),
-    ((2, 1, 1, 1), 0.4196594171512986, 20_000_000, 100),
-    ((2, 1, 1, 1), 0.0001358641330574868, 20_000_000, (
+    ((2, 1), 3.9095618987572544e-07, 3276800),
+    ((2, 1), 3.909561898757255e-07, 3276800),
+    ((3, 2, 2), 5.674928479302627e-07, 200),
+    ((3, 2, 2), 5.674928479302628e-07, 100),
+    ((3, 2, 2), 5.674928479302629e-07, 100),
+    ((3, 2, 2), 8.880006239755668e-09, 800),
+    ((3, 2, 2), 8.88000623975567e-09, 400),
+    ((3, 2, 2), 8.880006239755671e-09, 400),
+    ((2, 1, 1, 1), 0.4196594171512985, 200),
+    ((2, 1, 1, 1), 0.41965941715129856, 100),
+    ((2, 1, 1, 1), 0.4196594171512986, 100),
+    ((2, 1, 1, 1), 0.0001358641330574868, (
         "tolerance 0.000135864 for zeta(2,1,1,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 1.4e-04; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 1, 1, 1), 0.00013586413305748682, 20_000_000, 3276800),
-    ((2, 1, 1, 1), 0.00013586413305748685, 20_000_000, 3276800),
-    ((2, 1), 1e-06, 1_000, (
-        "tolerance 1e-06 for zeta(2,1) needs "
-        "a cutoff about 1024000, over the budget of 1000; "
-        "raise max_cutoff or relax tol",
-        1024000,
-    )),
-    ((2, 1), 1e-09, 20_000_000, (
+    ((2, 1, 1, 1), 0.00013586413305748682, 3276800),
+    ((2, 1, 1, 1), 0.00013586413305748685, 3276800),
+    ((2, 1), 1e-09, (
         "tolerance 1e-09 for zeta(2,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 4.0e-07; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 1, 1), 1e-08, 20_000_000, (
+    ((2, 1, 1), 1e-08, (
         "tolerance 1e-08 for zeta(2,1,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 7.3e-06; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2, 1, 1, 1), 1e-07, 20_000_000, (
+    ((2, 1, 1, 1), 1e-07, (
         "tolerance 1e-07 for zeta(2,1,1,1) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 1.4e-04; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((2,), 1e-14, 10_000, (
-        "tolerance 1e-14 for zeta(2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
-        "the tightest it certifies is 6.9e-13; "
-        "relax the tolerance",
-        None,
-    )),
-    ((2,), 1e-13, 20_000_000, (
+    ((2,), 1e-13, (
         "tolerance 1e-13 for zeta(2) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 6.9e-13; "
-        "relax the tolerance",
-        None,
+        "relax the tolerance"
     )),
-    ((3,), 1e-15, 20_000_000, (
+    ((3,), 1e-15, (
         "tolerance 1e-15 for zeta(3) needs "
         "more than 64-bit summation can certify under any cutoff budget; "
         "the tightest it certifies is 6.1e-13; "
-        "relax the tolerance",
-        None,
-    )),
-    ((2, 1), 3e-07, 250_000, (
-        "tolerance 3e-07 for zeta(2,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
-        "the tightest it certifies is 2.8e-06; "
-        "relax the tolerance",
-        None,
-    )),
-    ((2, 1), 1e-05, 999, (
-        "tolerance 1e-05 for zeta(2,1) needs "
-        "a cutoff about 127872, over the budget of 999; "
-        "raise max_cutoff or relax tol",
-        127872,
-    )),
-    ((2, 1, 1), 0.0001, 3_000, (
-        "tolerance 0.0001 for zeta(2,1,1) needs "
-        "a cutoff about 192000, over the budget of 3000; "
-        "raise max_cutoff or relax tol",
-        192000,
-    )),
-    ((2, 2), 1e-09, 100, (
-        "tolerance 1e-09 for zeta(2,2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
-        "the tightest it certifies is 6.9e-05; "
-        "relax the tolerance",
-        None,
-    )),
-    ((2, 2), 1e-09, 150, (
-        "tolerance 1e-09 for zeta(2,2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
-        "the tightest it certifies is 3.1e-05; "
-        "relax the tolerance",
-        None,
-    )),
-    ((4,), 1e-12, 101, 100),
-    ((2, 1), 0.0002, 130, (
-        "tolerance 0.0002 for zeta(2,1) needs "
-        "a cutoff about 4160, over the budget of 130; "
-        "raise max_cutoff or relax tol",
-        4160,
-    )),
-    ((2, 1), 0.0003437500692771817, 1_000, (
-        "tolerance 0.00034375 for zeta(2,1) needs "
-        "a cutoff about 4000, over the budget of 1000; "
-        "raise max_cutoff or relax tol",
-        4000,
-    )),
-    ((2, 1), 0.00034375006927718174, 1_000, (
-        "tolerance 0.00034375 for zeta(2,1) needs "
-        "a cutoff about 2000, over the budget of 1000; "
-        "raise max_cutoff or relax tol",
-        2000,
-    )),
-    ((2, 1), 0.0003437500692771818, 1_000, (
-        "tolerance 0.00034375 for zeta(2,1) needs "
-        "a cutoff about 2000, over the budget of 1000; "
-        "raise max_cutoff or relax tol",
-        2000,
-    )),
-    ((2, 1, 1), 5.4442290774955985e-05, 3_000, (
-        "tolerance 5.44423e-05 for zeta(2,1,1) needs "
-        "a cutoff about 384000, over the budget of 3000; "
-        "raise max_cutoff or relax tol",
-        384000,
-    )),
-    ((2, 1, 1), 5.444229077495599e-05, 3_000, (
-        "tolerance 5.44423e-05 for zeta(2,1,1) needs "
-        "a cutoff about 192000, over the budget of 3000; "
-        "raise max_cutoff or relax tol",
-        192000,
-    )),
-    ((2, 1, 1), 5.4442290774956e-05, 3_000, (
-        "tolerance 5.44423e-05 for zeta(2,1,1) needs "
-        "a cutoff about 192000, over the budget of 3000; "
-        "raise max_cutoff or relax tol",
-        192000,
-    )),
-    ((2, 2), 7.638893432832755e-06, 150, (
-        "tolerance 7.63889e-06 for zeta(2,2) needs "
-        "a cutoff about 600, over the budget of 150; "
-        "raise max_cutoff or relax tol",
-        600,
-    )),
-    ((2, 2), 7.638893432832757e-06, 150, (
-        "tolerance 7.63889e-06 for zeta(2,2) needs "
-        "a cutoff about 300, over the budget of 150; "
-        "raise max_cutoff or relax tol",
-        300,
-    )),
-    ((2, 2), 7.638893432832758e-06, 150, (
-        "tolerance 7.63889e-06 for zeta(2,2) needs "
-        "a cutoff about 300, over the budget of 150; "
-        "raise max_cutoff or relax tol",
-        300,
+        "relax the tolerance"
     )),
 ]
 
 
 def test_mzv_decisions_are_pinned():
-    for comp, tol, max_cutoff, want in MZV_DECISIONS:
-        case = (comp, tol, max_cutoff)
+    for comp, tol, want in MZV_DECISIONS:
         if isinstance(want, int):
-            assert mzv_info(comp, tol, max_cutoff=max_cutoff)[1] == want, case
+            assert mzv_info(comp, tol)[1] == want, (comp, tol)
             continue
         with pytest.raises(CutoffBudgetError) as info:
-            mzv_info(comp, tol, max_cutoff=max_cutoff)
-        assert (str(info.value), info.value.required_cutoff) == want, case
+            mzv_info(comp, tol)
+        assert str(info.value) == want, (comp, tol)
+
+
+def _compositions(weight):
+    """Every composition of weight, in lexicographic order."""
+    if weight == 0:
+        yield ()
+    for first in range(1, weight + 1):
+        for rest in _compositions(weight - first):
+            yield (first, *rest)
+
+
+def convergent_compositions(max_weight):
+    """The 2^(w-2) convergent compositions of each weight 2 <= w <= max_weight."""
+    return [
+        comp
+        for weight in range(2, max_weight + 1)
+        for comp in _compositions(weight)
+        if comp[0] >= 2
+    ]
+
+
+# SHA-256 over every _choose_cutoff decision for the 511 convergent
+# compositions of weight <= 10 at 54 tolerances from 1e-1 to 1e-14, each
+# line the cutoff and tail terms in float hex or the refusal message.  Any
+# change to the ladder, its bounds or its messages moves it.
+LADDER_DECISIONS_SHA256 = (
+    "ff79d849549f00d33a2a18a1d084cfdf2ebe7986301766e2f719b69fb9b64671"
+)
+
+
+def test_every_ladder_decision_is_pinned():
+    digest = hashlib.sha256()
+    tols = [10 ** (-1 - 13 * i / 53) for i in range(54)]
+    for comp in convergent_compositions(10):
+        for tol in tols:
+            try:
+                N, *tail = _choose_cutoff(comp, tol)
+                line = f"{comp} {tol!r} {N} " + " ".join(map(float.hex, tail))
+            except CutoffBudgetError as exc:
+                line = f"{comp} {tol!r} {exc}"
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == LADDER_DECISIONS_SHA256
+
+
+def test_every_refusal_names_a_tolerance_that_certifies():
+    for comp in convergent_compositions(12):
+        with pytest.raises(CutoffBudgetError) as info:
+            _choose_cutoff(comp, 1e-30)
+        _, _, named = str(info.value).partition("the tightest it certifies is ")
+        tightest = float(named.partition(";")[0])
+        # raises CutoffBudgetError if the named tolerance is not certified
+        _choose_cutoff(comp, tightest)
 
 
 def test_plan_is_built_once_per_composition():
@@ -622,31 +535,32 @@ def test_plan_is_built_once_per_composition():
 
 def test_plan_cache_is_bounded():
     _plan.cache_clear()
-    budgets = [1000 + i for i in range(PLAN_CACHE_SIZE + 10)]
-    for max_cutoff in budgets:
-        mzv_info((2,), 1e-3, max_cutoff=max_cutoff)
+    comps = [(a, b) for a in range(2, 20) for b in range(2, 20)]
+    comps = comps[: PLAN_CACHE_SIZE + 10]
+    for comp in comps:
+        mzv_info(comp, 1e-3)
     info = _plan.cache_info()
     assert info.maxsize == PLAN_CACHE_SIZE
     assert info.currsize == PLAN_CACHE_SIZE
-    mzv_info((2,), 1e-4, max_cutoff=budgets[-1])
+    mzv_info(comps[-1], 1e-4)
     assert _plan.cache_info().hits == info.hits + 1
 
 
 @pytest.mark.parametrize("comp", [(2, 1), (2, 1, 1), (2, 1, 1, 1)])
 def test_ladder_never_passes_the_least_bound_rung(comp):
     # The predicted bound is least at 100 * 2^15 = 3 276 800 and larger on
-    # the 6.5M, 13.1M and 20M rungs of the default budget, so the ladder
-    # never picks those; an explicit cutoff still reaches them
-    # (test_mzv_largest_cutoff_fits_in_1gb sums the top one).
-    ladder = [min(100 << i, DEFAULT_MAX_CUTOFF) for i in range(19)]
+    # the 6.5M, 13.1M and 20M rungs, so the ladder never picks those; an
+    # explicit cutoff still reaches them (test_mzv_largest_cutoff_fits_in_1gb
+    # sums the top one).
+    ladder = [min(100 << i, MAX_CUTOFF) for i in range(19)]
     bounds = [_predicted_bound(comp, N, *_majorant_chain(comp)) for N in ladder]
     least = bounds.index(min(bounds))
-    assert ladder[least:] == [3_276_800, 6_553_600, 13_107_200, DEFAULT_MAX_CUTOFF]
+    assert ladder[least:] == [3_276_800, 6_553_600, 13_107_200, MAX_CUTOFF]
     tightest = bounds[least] / 0.8
     chosen = set()
     for i in range(400):
         tol = tightest * 10.0 ** (6 * i / 400)
-        chosen.add(_choose_cutoff(comp, tol, DEFAULT_MAX_CUTOFF)[0])
+        chosen.add(_choose_cutoff(comp, tol)[0])
     assert max(chosen) == 3_276_800
     assert mzv_info(comp, tightest * (1 + 1e-12))[1] == 3_276_800
     with pytest.raises(CutoffBudgetError):

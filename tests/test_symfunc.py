@@ -82,8 +82,12 @@ def test_expansion_rejects_degenerate_variable_count():
 
 def test_collect_symmetric_rejects_asymmetric_input():
     lopsided = MultiPoly(2, {(2, 0): 1, (0, 2): 2})
-    with pytest.raises(ValueError):
-        collect_symmetric_to_m(lopsided)
+    # incomplete orbits: arrangements are missing, the present ones agree
+    partial = MultiPoly(2, {(2, 0): 1})
+    partial3 = MultiPoly(3, {(2, 1, 0): 1, (1, 2, 0): 1})
+    for mp in (lopsided, partial, partial3):
+        with pytest.raises(ValueError):
+            collect_symmetric_to_m(mp)
 
 
 def test_e_to_m_matrix_weight_2():
