@@ -28,7 +28,6 @@ from .zetaring import (
     ZetaPoly,
     zeta_gen,
     zeta_hom,
-    zetapoly_from_json,
     zetapoly_to_json,
 )
 
@@ -182,14 +181,6 @@ def genus_to_json(gp: GenusPolynomial) -> dict:
     }
 
 
-def genus_from_json(data: dict) -> GenusPolynomial:
-    coeffs = {
-        tuple(t["c_partition"]): zetapoly_from_json(t["coeff"])
-        for t in data["terms"]
-    }
-    return GenusPolynomial(data["degree"], coeffs)
-
-
 def cy_genus_to_json(gp: CyGenusPolynomial) -> dict:
     return {
         "degree": gp.degree,
@@ -201,11 +192,3 @@ def cy_genus_to_json(gp: CyGenusPolynomial) -> dict:
             for lam, terms in gp.sorted_terms()
         ],
     }
-
-
-def cy_genus_from_json(data: dict) -> CyGenusPolynomial:
-    coeffs = {
-        tuple(t["c_partition"]): [MzvTerm.from_json(m) for m in t["mzv_terms"]]
-        for t in data["terms"]
-    }
-    return CyGenusPolynomial(data["degree"], coeffs)

@@ -82,13 +82,6 @@ class BoundedValue:
     def exact(cls, value: float) -> "BoundedValue":
         return cls(value, 0.0)
 
-    @classmethod
-    def from_fraction(cls, q) -> "BoundedValue":
-        q = Fraction(q)
-        v = float(q)
-        # float() on a Fraction rounds correctly, so half an ulp covers it.
-        return cls(v, abs(v) * 2.0 ** -53 + 5e-324)
-
     def __add__(self, other: "BoundedValue") -> "BoundedValue":
         v = self.value + other.value
         return BoundedValue(v, self.bound + other.bound + abs(v) * EPS_OP)
@@ -130,10 +123,6 @@ class BoundedValue:
 
     def to_json(self) -> dict:
         return {"value": self.value, "bound": self.bound}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BoundedValue":
-        return cls(data["value"], data["bound"])
 
     def __repr__(self) -> str:
         return f"BoundedValue({self.value!r}, bound={self.bound!r})"
@@ -343,7 +332,7 @@ def _choose_cutoff(comp, tol: float) -> tuple:
     tightest = math.ceil(tightest / step) * step
     raise CutoffBudgetError(
         f"tolerance {tol:g} for {mzv_label(comp)} needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         f"the tightest it certifies is {tightest:.1e}; relax the tolerance"
     )
 
@@ -399,7 +388,6 @@ def mzv(args, tol: float) -> BoundedValue:
 # --- generator values -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _stored_gamma() -> BoundedValue:
     v = float(GAMMA_DECIMAL)
     return BoundedValue(v, abs(v) * 2.0 ** -52)

@@ -30,12 +30,6 @@ def frac_str(q) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def frac_from_str(s: str) -> Fraction:
-    """Parse "p/q" (a bare integer string is accepted as p/1)."""
-    num, _, den = s.strip().partition("/")
-    return Fraction(int(num), int(den or 1))
-
-
 class LinearCombination:
     """Sparse exact linear combination: canonical key -> nonzero coefficient.
 

@@ -27,7 +27,7 @@ from math import comb, factorial, prod
 from operator import add
 
 from .partitions import Partition, as_partition, partitions_of, sort_key
-from .rationals import LinearCombination, exact, frac_from_str, frac_str
+from .rationals import LinearCombination, exact
 
 BASES = ("m", "e", "p")
 
@@ -280,9 +280,12 @@ def _m_in_p(lam: Partition) -> tuple:
     return prod(factorial(r) for r in Counter(lam).values()), row
 
 
-@lru_cache(maxsize=None)
 def _row(src: str, dst: str, lam: Partition) -> dict:
-    """src_lam in the dst basis, as a cached map that must not be mutated."""
+    """src_lam in the dst basis, as a map that must not be mutated.
+
+    The m -> e row is _m_in_e's cached dict itself; the other rows are
+    rebuilt from the cached _m_in_p and _coefficient entries.
+    """
     if src == "m":
         if dst == "e":
             return _m_in_e(lam)
@@ -329,21 +332,3 @@ def to_basis(f: SymPoly, target: str) -> SymPoly:
         for mu, c in _row(f.basis, target, lam).items():
             out[mu] = out.get(mu, 0) + a * c
     return SymPoly(target, out)
-
-
-# --- JSON -------------------------------------------------------------------
-
-
-def sympoly_to_json(f: SymPoly) -> dict:
-    terms = [
-        {"partition": list(lam), "coeff": frac_str(c)}
-        for lam, c in sorted(f.terms.items(), key=lambda t: sort_key(t[0]))
-    ]
-    return {"basis": f.basis, "terms": terms}
-
-
-def sympoly_from_json(data: dict) -> SymPoly:
-    return SymPoly(
-        data["basis"],
-        {tuple(t["partition"]): frac_from_str(t["coeff"]) for t in data["terms"]},
-    )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .partitions import as_partition
-from .rationals import LinearCombination, exact, frac_from_str, frac_str
+from .rationals import LinearCombination, exact, frac_str
 from .symfunc import SymPoly, to_basis
 from .symfunc import _orbit_exponent_vectors
 
@@ -29,10 +29,6 @@ def check_word(w) -> Word:
     if not all(isinstance(i, int) and i >= 1 for i in word):
         raise ValueError(f"word letters must be integers >= 1: {w!r}")
     return word
-
-
-def word_weight(w) -> int:
-    return sum(w)
 
 
 def word_key(w):
@@ -239,9 +235,3 @@ def qsym_to_json(q: QsymPoly) -> list:
     return [
         {"word": list(w), "coeff": frac_str(c)} for w, c in q.sorted_terms()
     ]
-
-
-def qsym_from_json(data: list) -> QsymPoly:
-    return QsymPoly(
-        {tuple(t["word"]): frac_from_str(t["coeff"]) for t in data}
-    )

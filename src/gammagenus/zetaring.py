@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm
 
 from .partitions import partitions_of
-from .rationals import LinearCombination, exact, frac_from_str, frac_str
+from .rationals import LinearCombination, exact, frac_str
 from .symfunc import SymPoly, _m_in_p, to_basis
 
 GAMMA = "gamma"
@@ -109,9 +109,6 @@ class ZetaPoly(LinearCombination):
 
     def is_homogeneous(self, w: int) -> bool:
         return all(monomial_weight(m) == w for m in self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
 
     def sorted_terms(self):
         """Terms in the canonical display order (gamma powers first)."""
@@ -284,10 +281,6 @@ class MzvTerm:
     def to_json(self) -> dict:
         return {"args": list(self.args), "coeff": frac_str(self.coeff)}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MzvTerm":
-        return cls(frac_from_str(data["coeff"]), tuple(data["args"]))
-
 
 class MzvValue(LinearCombination):
     """Polynomial in unevaluated MZV symbols with ZetaPoly coefficients.
@@ -326,27 +319,6 @@ class MzvValue(LinearCombination):
     def zeta_part(self) -> ZetaPoly:
         """The coefficient of the empty atom monomial (the pure ring part)."""
         return self.terms.get((), ZetaPoly.zero())
-
-    def mzv_terms(self) -> list:
-        """The single-atom part as MzvTerm objects, when that projection exists.
-
-        Raises if any atom carries a non-constant ring coefficient or appears
-        in a genuine product of atoms; callers that need full generality work
-        with .terms directly.
-        """
-        out = []
-        for atoms, poly in sorted(self.terms.items()):
-            if not atoms:
-                continue
-            if len(atoms) > 1:
-                raise ValueError(f"product of MZV symbols present: {atoms}")
-            mono = dict(poly.terms)
-            if set(mono) - {()}:
-                raise ValueError(
-                    f"atom {atoms[0]} has a non-constant ring coefficient"
-                )
-            out.append(MzvTerm(poly.constant_term(), atoms[0]))
-        return out
 
 
 def zeta_word(w) -> MzvValue:
@@ -450,12 +422,3 @@ def zetapoly_to_json(p: ZetaPoly) -> list:
     for mono, c in p.sorted_terms():
         out.append({"monomial": {n: e for n, e in mono}, "coeff": frac_str(c)})
     return out
-
-
-def zetapoly_from_json(data: list) -> ZetaPoly:
-    """Inverse of zetapoly_to_json; entries whose monomials coincide add up."""
-    acc = ZetaPoly.zero()
-    for entry in data:
-        mono = tuple(entry["monomial"].items())
-        acc = acc + ZetaPoly({mono: frac_from_str(entry["coeff"])})
-    return acc

@@ -54,9 +54,6 @@ def test_bounded_value_construction():
     x = BoundedValue.exact(1.5)
     assert x.value == 1.5
     assert x.bound == 0.0
-    y = BoundedValue.from_fraction(Fraction(1, 3))
-    assert abs(y.value - 1 / 3) <= y.bound
-    assert y.bound > 0
 
 
 def test_bounded_value_arithmetic_grows_bounds():
@@ -94,7 +91,7 @@ def test_bounded_value_json():
     x = BoundedValue(0.25, 2e-9)
     data = x.to_json()
     assert set(data) == {"value", "bound"}
-    assert BoundedValue.from_json(data).value == 0.25
+    assert data == {"value": 0.25, "bound": 2e-9}
 
 
 def test_check_composition():
@@ -315,14 +312,14 @@ MZV_DECISIONS = [
     ((2, 1), 3.7e-06, 204800),
     ((2, 1), 1e-08, (
         "tolerance 1e-08 for zeta(2,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 4.0e-07; "
         "relax the tolerance"
     )),
     ((5, 1), 3.7e-06, 100),
     ((5, 1), 1e-11, (
         "tolerance 1e-11 for zeta(5,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 1.2e-11; "
         "relax the tolerance"
     )),
@@ -330,14 +327,14 @@ MZV_DECISIONS = [
     ((2, 1, 1), 0.001, 12800),
     ((2, 1, 1), 3.7e-06, (
         "tolerance 3.7e-06 for zeta(2,1,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 7.3e-06; "
         "relax the tolerance"
     )),
     ((2, 1, 1, 1), 0.001, 204800),
     ((2, 1, 1, 1), 3.7e-06, (
         "tolerance 3.7e-06 for zeta(2,1,1,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 1.4e-04; "
         "relax the tolerance"
     )),
@@ -345,7 +342,7 @@ MZV_DECISIONS = [
     ((2, 2), 1e-08, 12800),
     ((2, 2), 1e-11, (
         "tolerance 1e-11 for zeta(2,2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 1.1e-09; "
         "relax the tolerance"
     )),
@@ -353,7 +350,7 @@ MZV_DECISIONS = [
     ((2, 2, 2, 2, 2), 1e-08, 25600),
     ((2, 2, 2, 2, 2), 1e-11, (
         "tolerance 1e-11 for zeta(2,2,2,2,2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 9.0e-09; "
         "relax the tolerance"
     )),
@@ -362,7 +359,7 @@ MZV_DECISIONS = [
     ((3, 2, 2), 1e-08, 400),
     ((3, 2, 2), 1e-11, (
         "tolerance 1e-11 for zeta(3,2,2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 1.3e-10; "
         "relax the tolerance"
     )),
@@ -371,20 +368,20 @@ MZV_DECISIONS = [
     ((2, 2, 3), 1e-08, 12800),
     ((4, 2, 2, 2), 1e-11, (
         "tolerance 1e-11 for zeta(4,2,2,2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 5.3e-11; "
         "relax the tolerance"
     )),
     ((2, 4, 3, 3), 1e-08, 100),
     ((2, 4, 3, 3), 1e-11, (
         "tolerance 1e-11 for zeta(2,4,3,3) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 2.8e-11; "
         "relax the tolerance"
     )),
     ((2,), 6.849617797429321e-13, (
         "tolerance 6.84962e-13 for zeta(2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 6.9e-13; "
         "relax the tolerance"
     )),
@@ -401,7 +398,7 @@ MZV_DECISIONS = [
     ((2, 1), 5.3711445538884596e-05, 12800),
     ((2, 1), 3.909561898757254e-07, (
         "tolerance 3.90956e-07 for zeta(2,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 4.0e-07; "
         "relax the tolerance"
     )),
@@ -418,7 +415,7 @@ MZV_DECISIONS = [
     ((2, 1, 1, 1), 0.4196594171512986, 100),
     ((2, 1, 1, 1), 0.0001358641330574868, (
         "tolerance 0.000135864 for zeta(2,1,1,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 1.4e-04; "
         "relax the tolerance"
     )),
@@ -426,31 +423,31 @@ MZV_DECISIONS = [
     ((2, 1, 1, 1), 0.00013586413305748685, 3276800),
     ((2, 1), 1e-09, (
         "tolerance 1e-09 for zeta(2,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 4.0e-07; "
         "relax the tolerance"
     )),
     ((2, 1, 1), 1e-08, (
         "tolerance 1e-08 for zeta(2,1,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 7.3e-06; "
         "relax the tolerance"
     )),
     ((2, 1, 1, 1), 1e-07, (
         "tolerance 1e-07 for zeta(2,1,1,1) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 1.4e-04; "
         "relax the tolerance"
     )),
     ((2,), 1e-13, (
         "tolerance 1e-13 for zeta(2) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 6.9e-13; "
         "relax the tolerance"
     )),
     ((3,), 1e-15, (
         "tolerance 1e-15 for zeta(3) needs "
-        "more than 64-bit summation can certify under any cutoff budget; "
+        "more than 64-bit summation can certify; "
         "the tightest it certifies is 6.1e-13; "
         "relax the tolerance"
     )),
@@ -491,7 +488,7 @@ def convergent_compositions(max_weight):
 # line the cutoff and tail terms in float hex or the refusal message.  Any
 # change to the ladder, its bounds or its messages moves it.
 LADDER_DECISIONS_SHA256 = (
-    "ff79d849549f00d33a2a18a1d084cfdf2ebe7986301766e2f719b69fb9b64671"
+    "7b73089b5c94d6799b5ea4a4ba123cfe10dc9238bf6c80a79a4a548d20235260"
 )
 
 

@@ -26,8 +26,6 @@ from gammagenus.symfunc import (
     collect_symmetric_to_m,
     e_to_m_matrix,
     expand_in_vars,
-    sympoly_from_json,
-    sympoly_to_json,
     to_basis,
 )
 from gammagenus.words import QsymPoly
@@ -315,11 +313,3 @@ def test_linear_combination_contract(name):
     for op in rejected:
         with pytest.raises(ValueError):
             op(a, mismatched)
-
-
-def test_json_roundtrip():
-    f = SymPoly("p", {(3, 1): Fraction(-5, 3), (2,): Fraction(7)})
-    data = sympoly_to_json(f)
-    assert data["basis"] == "p"
-    assert {"partition": [2], "coeff": "7/1"} in data["terms"]
-    assert sympoly_from_json(data) == f

@@ -21,7 +21,6 @@ from gammagenus.zetaring import (
     zeta_hom,
     zeta_word,
     zeta_word_poly,
-    zetapoly_from_json,
     zetapoly_to_json,
 )
 from gammagenus.words import sym_to_words
@@ -60,10 +59,6 @@ def test_zetapoly_monomials_are_canonical():
     for power in (-1, 0.5, 1.0):
         with pytest.raises(ValueError):
             ZetaPoly.generator(GAMMA, power)
-    with pytest.raises(ValueError):
-        zetapoly_from_json([{"monomial": {"pi2": 0.5}, "coeff": "1/1"}])
-    with pytest.raises(ValueError):
-        zetapoly_from_json([{"monomial": {"zeta03": 1}, "coeff": "1/1"}])
 
 
 def test_zetapoly_arithmetic():
@@ -169,7 +164,7 @@ def test_mzv_term():
     t = MzvTerm(Fraction(3, 2), (6, 2))
     assert t.weight == 8
     assert t.depth == 2
-    assert MzvTerm.from_json(t.to_json()) == t
+    assert t.to_json() == {"args": [6, 2], "coeff": "3/2"}
     with pytest.raises(ValueError):
         MzvTerm(Fraction(1), (1, 2))
 
@@ -204,16 +199,6 @@ def test_mzv_value_product_sorts_atoms():
 def test_mzv_value_zeta_part_and_terms():
     v = MzvValue.from_ring(GAMMA_GEN) + MzvValue.from_atom((2, 1)).scaled(-1)
     assert v.zeta_part() == GAMMA_GEN
-    assert v.mzv_terms() == [MzvTerm(Fraction(-1), (2, 1))]
-
-
-def test_mzv_terms_rejects_products_and_ring_coefficients():
-    prod = MzvValue.from_atom((2,)) * MzvValue.from_atom((3,))
-    with pytest.raises(ValueError):
-        prod.mzv_terms()
-    dressed = MzvValue({((2,),): GAMMA_GEN})
-    with pytest.raises(ValueError):
-        dressed.mzv_terms()
 
 
 def test_zeta_word_on_convergent_words():
@@ -289,14 +274,8 @@ def test_zeta_word_poly_linear():
 def test_zetapoly_json_roundtrip():
     p = zeta_hom(SymPoly.basis_element("e", (3,)))
     data = zetapoly_to_json(p)
-    assert zetapoly_from_json(data) == p
+    assert len(data) == len(p.terms)
     assert all(set(entry) == {"monomial", "coeff"} for entry in data)
-    # entries naming one monomial in two spellings add up
-    twice = [
-        {"monomial": {"gamma": 1, "pi2": 1}, "coeff": "1/1"},
-        {"monomial": {"pi2": 1, "gamma": 1}, "coeff": "2/1"},
-    ]
-    assert zetapoly_from_json(twice) == (GAMMA_GEN * PI2).scaled(3)
 
 
 def test_zetapoly_sorted_terms_order():
