@@ -255,6 +255,24 @@ def _bound(t2: float, ez: float, rup: float, slop: float) -> float:
 # --- nested summation -----------------------------------------------------------
 
 
+def _power_row(n, s: int, out) -> None:
+    """out = n^-s elementwise, for a row n of integer-valued doubles.
+
+    For s <= 2 each entry is one correctly rounded division of 1 by n or by
+    n*n (n*n is an exact double for n < 2^26.5, past MAX_CUTOFF); for s >= 3
+    numpy's power is faithful, within 1 ulp, though not correctly rounded.
+    """
+    import numpy as np
+
+    if s == 1:
+        np.divide(1.0, n, out=out)
+    elif s == 2:
+        np.multiply(n, n, out=out)
+        np.divide(1.0, out, out=out)
+    else:
+        np.power(n, -float(s), out=out)
+
+
 def _dp_sum(comp, N: int):
     """Partial sum over n_1 <= N by blockwise dynamic programming.
 
@@ -264,8 +282,10 @@ def _dp_sum(comp, N: int):
     sum is finite, so s_1 = 1 is valid here: (1,) gives the harmonic H_N.
 
     Rows of BLOCK doubles are allocated once per call, whatever N is; per
-    element and level it rounds at most four times (pow, multiply, running
-    add, carry add) on nonnegative addends, so _slop still covers it.
+    element and level it rounds at most four times (power, multiply, running
+    add, carry add) on nonnegative addends, so _slop still covers it.  The
+    power rounding is one correctly rounded division for s <= 2 and within
+    1 ulp for s >= 3 (_power_row), both inside SUM_EPS's allowance.
     """
     import numpy as np
 
@@ -284,7 +304,7 @@ def _dp_sum(comp, N: int):
             n, vals, terms, csum = n[:m], vals[:m], terms[:m], csum[:m]
             power = {s: row[:m] for s, row in power.items()}
         for s, row in power.items():
-            np.power(n, -float(s), out=row)
+            _power_row(n, s, row)
         level = power[comp[-1]]
         for j in range(k, 1, -1):
             np.add.accumulate(level, out=csum)
@@ -345,7 +365,8 @@ def mzv_info(args, tol: float, *, cutoff=None):
     0.8 * tol; the ladder and its bounds are planned once per composition
     and kept, so a call pays only for its sum.  Passing cutoff explicitly
     skips the ladder (the reported bound is then whatever that cutoff
-    honestly achieves).
+    honestly achieves); it must be an int from FIRST_RUNG = 100 to
+    MAX_CUTOFF = 20 000 000, else ValueError.
 
     The predicted bound falls with the cutoff until the rounding allowance,
     which grows with it, takes over; the ladder never goes past the rung
@@ -360,9 +381,12 @@ def mzv_info(args, tol: float, *, cutoff=None):
     if cutoff is None:
         N, zmid, ez, rup = _choose_cutoff(comp, tol)
     else:
-        N = int(cutoff)
-        if N < 100:
-            raise ValueError("cutoff must be at least 100")
+        if type(cutoff) is not int or not FIRST_RUNG <= cutoff <= MAX_CUTOFF:
+            raise ValueError(
+                f"cutoff must be an int from {FIRST_RUNG} to {MAX_CUTOFF}, "
+                f"got {cutoff!r}"
+            )
+        N = cutoff
         zmid, ez = zeta_tail_estimate(N, comp[0])
         rup = _remainder_cap(comp, N, *_majorant_chain(comp))
     k = len(comp)

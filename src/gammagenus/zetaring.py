@@ -270,14 +270,6 @@ class MzvTerm:
     def __reduce__(self):
         return type(self), (self.coeff, self.args)
 
-    @property
-    def weight(self) -> int:
-        return sum(self.args)
-
-    @property
-    def depth(self) -> int:
-        return len(self.args)
-
     def to_json(self) -> dict:
         return {"args": list(self.args), "coeff": frac_str(self.coeff)}
 

@@ -9,6 +9,7 @@ the value looks fine.
 import hashlib
 import itertools
 import math
+import random
 import resource
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from gammagenus.numeric import (
     _dp_sum,
     _majorant_chain,
     _plan,
+    _power_row,
     _predicted_bound,
     _slop,
     eval_mzv_terms,
@@ -188,6 +190,19 @@ def test_mzv_depth_three():
     assert abs(v.value - float(mp.pi**4 / 90)) <= v.bound
 
 
+# The stream spends its time on the deepest rung the ladder picks,
+# N = 3 276 800; duality gives zeta(2,1^(k-2)) = zeta(k).
+@pytest.mark.parametrize(
+    "comp, tol, k",
+    [((2, 1), 4e-7, 3), ((2, 1, 1), 7.3e-6, 4), ((2, 1, 1, 1), 1.4e-4, 5)],
+)
+def test_mzv_at_the_deepest_rung(comp, tol, k):
+    mp.dps = 30
+    v, n = mzv_info(comp, tol)
+    assert n == 3_276_800
+    assert abs(v.value - float(mp.zeta(k))) <= v.bound <= tol
+
+
 def test_mzv_bound_contains_refined_value():
     coarse = mzv((2, 2), 1e-4)
     fine = mzv((2, 2), 1e-8)
@@ -199,6 +214,12 @@ def test_mzv_explicit_cutoff_is_honest():
     v, n = mzv_info((2,), 1e-2, cutoff=1000)
     assert n == 1000
     assert abs(v.value - float(mp.pi**2 / 6)) <= v.bound
+
+
+@pytest.mark.parametrize("cutoff", [99, MAX_CUTOFF + 1, 150.5, True])
+def test_mzv_explicit_cutoff_must_be_an_int_in_range(cutoff):
+    with pytest.raises(ValueError, match="cutoff must be an int"):
+        mzv_info((2,), 1e-2, cutoff=cutoff)
 
 
 def _nested_sum(comp, N):
@@ -226,6 +247,38 @@ def test_dp_sum_matches_nested_sum_across_block_boundaries(comp, N):
     assert carries.keys() == want_carries.keys()
     for j, carry in carries.items():
         assert abs(carry - want_carries[j]) <= slop, j
+
+
+def _ulps_off(got, n, s):
+    exact = Fraction(1, n**s)
+    return abs(Fraction(got) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def _sample_n(count):
+    rng = random.Random(16)
+    return [1, BLOCK - 1, BLOCK, BLOCK + 1, MAX_CUTOFF] + [
+        rng.randint(2, MAX_CUTOFF) for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_power_rows_below_three_are_correctly_rounded(s):
+    import numpy as np
+
+    ns = _sample_n(2000)
+    row = np.empty(len(ns))
+    _power_row(np.array(ns, dtype=float), s, row)
+    assert row.tolist() == [float(Fraction(1, n**s)) for n in ns]
+
+
+def test_power_rows_from_three_are_faithful():
+    import numpy as np
+
+    ns = _sample_n(4000)
+    row = np.empty(len(ns))
+    for s in range(3, 13):
+        _power_row(np.array(ns, dtype=float), s, row)
+        assert max(_ulps_off(x, n, s) for x, n in zip(row.tolist(), ns)) < 1, s
 
 
 def test_dp_sum_memory_does_not_grow_with_the_cutoff():

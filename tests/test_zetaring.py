@@ -162,8 +162,6 @@ def test_check_convergent_composition():
 
 def test_mzv_term():
     t = MzvTerm(Fraction(3, 2), (6, 2))
-    assert t.weight == 8
-    assert t.depth == 2
     assert t.to_json() == {"args": [6, 2], "coeff": "3/2"}
     with pytest.raises(ValueError):
         MzvTerm(Fraction(1), (1, 2))
