@@ -34,10 +34,29 @@ from .zetaring import (
 DEGREE_BUDGET = 12
 
 
-class GenusPolynomial:
-    """Q_i as a map from partitions (indexing c_lambda) to ring coefficients."""
+class _Genus:
+    """A degree and a map from partitions (indexing c_lambda) to coefficients."""
 
     __slots__ = ("degree", "coeffs")
+
+    def sorted_terms(self):
+        return [
+            (lam, self.coeffs[lam])
+            for lam in sorted(self.coeffs, key=sort_key)
+        ]
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and self.degree == other.degree
+            and self.coeffs == other.coeffs
+        )
+
+
+class GenusPolynomial(_Genus):
+    """Q_i as a map from partitions (indexing c_lambda) to ring coefficients."""
+
+    __slots__ = ()
 
     def __init__(self, degree: int, coeffs: dict):
         self.degree = int(degree)
@@ -60,24 +79,11 @@ class GenusPolynomial:
             raise ValueError(f"leading coefficient of Q_{i} is wrong")
         return self
 
-    def sorted_terms(self):
-        return [
-            (lam, self.coeffs[lam])
-            for lam in sorted(self.coeffs, key=sort_key)
-        ]
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GenusPolynomial)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-
-class CyGenusPolynomial:
+class CyGenusPolynomial(_Genus):
     """Q_i at c_1 = 0: partitions without 1s, coefficients as MZV sums."""
 
-    __slots__ = ("degree", "coeffs")
+    __slots__ = ()
 
     def __init__(self, degree: int, coeffs: dict):
         self.degree = int(degree)
@@ -87,19 +93,6 @@ class CyGenusPolynomial:
             if lam and min(lam) < 2:
                 raise ValueError(f"partition {lam} has a part 1")
             self.coeffs[lam] = list(terms)
-
-    def sorted_terms(self):
-        return [
-            (lam, self.coeffs[lam])
-            for lam in sorted(self.coeffs, key=sort_key)
-        ]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CyGenusPolynomial)
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
 
 
 def _check_degree(i: int, label: str) -> int:

@@ -10,8 +10,8 @@ Partition = tuple
 
 
 def is_partition(parts) -> bool:
-    """True if ``parts`` is weakly decreasing with every part >= 1."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    """True if ``parts`` is weakly decreasing with every part an int >= 1 (no bools)."""
+    return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 

@@ -6,6 +6,8 @@ spellings in for scripts that cannot take UTF-8.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .partitions import sort_key
 from .zetaring import GAMMA, PI2, ZetaPoly, generator_weight, mzv_label
 
@@ -64,14 +66,10 @@ def format_qsym(q) -> str:
 def format_c_monomial(lam) -> str:
     if not lam:
         return "1"
-    out = []
-    seen = {}
-    for part in lam:
-        seen[part] = seen.get(part, 0) + 1
-    for part in sorted(seen, reverse=True):
-        e = seen[part]
-        out.append(f"c_{part}" if e == 1 else f"c_{part}^{e}")
-    return "".join(out)
+    return "".join(
+        f"c_{part}" if e == 1 else f"c_{part}^{e}"
+        for part, e in sorted(Counter(lam).items(), reverse=True)
+    )
 
 
 def format_mzv_args(args, ascii_mode: bool = False) -> str:

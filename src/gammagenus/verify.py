@@ -6,6 +6,14 @@ covers summation against the symbolic values and stored constants.  Checks
 are deliberately smaller than the acceptance tests so a full `verify all`
 stays interactive; the heavyweight sweeps live in the test suite.
 
+A check takes no arguments and returns a verdict, the tuple (ok, expected,
+actual, bound) of a truth value and three strings, empty where there is
+nothing to show.  `_same`, `_none_bad` and `_agree` build the common kinds.
+`CHECKS` names each check's suite, id and description, and `run_suite`
+turns every verdict into a `CheckRecord`.  A check that raises has failed,
+with the exception as its actual value, except `MemoryError` and
+`RecursionError`: the process, not the check, ran out, so they propagate.
+
 Randomized checks draw from a fixed seed so repeated runs are
 byte-identical.
 """
@@ -15,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from .genus import mzv_expansion, q_genus, q_genus_oracle, q_genus_cy
 from .numeric import (
@@ -94,124 +103,103 @@ class Report:
         }
 
 
-def _record(check_id, description, ok, expected="", actual="", bound=""):
-    return CheckRecord(
-        id=check_id,
-        description=description,
-        status="pass" if ok else "fail",
-        expected=str(expected),
-        actual=str(actual),
-        bound=str(bound),
+def _same(got, want, fmt=str):
+    """Verdict that `got` equals `want`, both shown through `fmt`."""
+    return got == want, fmt(want), fmt(got), ""
+
+
+def _none_bad(bad, label="{}", show=None):
+    """Verdict that `bad` is empty; else show its first `show` items in `label`."""
+    return not bad, "none", label.format(bad[:show]) if bad else "none", ""
+
+
+def _agree(got, want):
+    """Verdict that two bounded values agree within their summed bounds."""
+    allowed = got.bound + want.bound
+    return (
+        abs(got.value - want.value) <= allowed,
+        format_bounded(want, ascii_mode=True),
+        format_bounded(got, ascii_mode=True),
+        f"{allowed:.3g}",
     )
-
-
-def _guard(check_id, description, fn):
-    try:
-        return fn(check_id, description)
-    except (MemoryError, RecursionError):
-        raise  # the process is out of resources: an internal error, not a verdict
-    except Exception as exc:  # a crashed check is a failed check
-        return _record(check_id, description, False, actual=f"raised {exc!r}")
 
 
 # --- symbolic -------------------------------------------------------------------
 
 
-def _check_q1(cid, desc):
-    got = q_genus(1).coeffs[(1,)]
-    want = ZetaPoly.generator(GAMMA)
-    return _record(
-        cid, desc, got == want, format_zeta_poly(want), format_zeta_poly(got)
-    )
+def _check_q1():
+    return _same(q_genus(1).coeffs[(1,)], ZetaPoly.generator(GAMMA), format_zeta_poly)
 
 
-def _check_q2_c1sq(cid, desc):
+def _check_q2_c1sq():
     got = q_genus(2).coeffs[(1, 1)]
     want = ZetaPoly({((GAMMA, 2),): Fraction(1, 2)}) - zeta_even(2).scaled(
         Fraction(1, 2)
     )
-    return _record(
-        cid, desc, got == want, format_zeta_poly(want), format_zeta_poly(got)
-    )
+    return _same(got, want, format_zeta_poly)
 
 
-def _check_q3_c1cube(cid, desc):
+def _check_q3_c1cube():
     got = q_genus(3).coeffs[(1, 1, 1)]
     want = (
         ZetaPoly({((GAMMA, 3),): Fraction(1, 6)})
         - ZetaPoly.generator(GAMMA).scaled(Fraction(1, 2)) * zeta_even(2)
         + zeta_gen(3).scaled(Fraction(1, 3))
     )
-    return _record(
-        cid, desc, got == want, format_zeta_poly(want), format_zeta_poly(got)
-    )
+    return _same(got, want, format_zeta_poly)
 
 
-def _check_leading(cid, desc):
-    bad = [
-        i
-        for i in range(2, 9)
-        if q_genus(i).coeffs[(i,)] != zeta_gen(i)
-    ]
-    return _record(cid, desc, not bad, "none", f"mismatches at {bad}" if bad else "none")
+def _check_leading():
+    bad = [i for i in range(2, 9) if q_genus(i).coeffs[(i,)] != zeta_gen(i)]
+    return _none_bad(bad, "mismatches at {}")
 
 
-def _check_m22(cid, desc):
+def _check_m22():
     got = zeta_hom(SymPoly.basis_element("m", (2, 2)))
-    want = zeta_even(4).scaled(Fraction(3, 4))
-    return _record(
-        cid, desc, got == want, format_zeta_poly(want), format_zeta_poly(got)
-    )
+    return _same(got, zeta_even(4).scaled(Fraction(3, 4)), format_zeta_poly)
 
 
-def _check_m62(cid, desc):
+def _check_m62():
     got = zeta_gen(2) * zeta_gen(6) - zeta_gen(8)
     want = zeta_even(8).scaled(Fraction(2, 3))
     also = zeta_hom(SymPoly.basis_element("m", (6, 2)))
-    ok = got == want and also == want
-    return _record(
-        cid, desc, ok, format_zeta_poly(want), format_zeta_poly(got)
-    )
+    ok, expected, actual, bound = _same(got, want, format_zeta_poly)
+    return ok and also == want, expected, actual, bound
 
 
-def _check_oracle(cid, desc):
+def _check_oracle():
     bad = [i for i in range(1, 5) if q_genus(i) != q_genus_oracle(i)]
-    return _record(cid, desc, not bad, "none", f"mismatches at {bad}" if bad else "none")
+    return _none_bad(bad, "mismatches at {}")
 
 
-def _check_matrix_symmetry(cid, desc):
+def _check_matrix_symmetry():
     bad = []
     for n in range(1, 7):
         m = e_to_m_matrix(n)
         size = len(m)
-        if any(
-            m[a][b] != m[b][a] for a in range(size) for b in range(size)
-        ):
+        if any(m[a][b] != m[b][a] for a in range(size) for b in range(size)):
             bad.append(n)
-    return _record(cid, desc, not bad, "none", f"asymmetric at {bad}" if bad else "none")
+    return _none_bad(bad, "asymmetric at {}")
 
 
-def _check_homogeneity(cid, desc):
+def _check_homogeneity():
     bad = []
     for i in range(1, 7):
-        gp = q_genus(i)
-        if len(gp.coeffs) != len(partitions_of(i)):
+        coeffs = q_genus(i).coeffs
+        if len(coeffs) != len(partitions_of(i)) or any(
+            not c.is_homogeneous(i) for c in coeffs.values()
+        ):
             bad.append(i)
-            continue
-        if any(not c.is_homogeneous(i) for c in gp.coeffs.values()):
-            bad.append(i)
-    return _record(cid, desc, not bad, "none", f"failures at {bad}" if bad else "none")
+    return _none_bad(bad, "failures at {}")
 
 
-def _check_word_route(cid, desc):
+def _check_word_route():
     bad = []
     for lam in ((2, 2), (3, 2), (4, 2), (3, 3), (6, 2)):
-        direct, through = path_independence_pairs(
-            SymPoly.basis_element("m", lam)
-        )
+        direct, through = path_independence_pairs(SymPoly.basis_element("m", lam))
         if direct != through:
             bad.append(lam)
-    return _record(cid, desc, not bad, "none", f"mismatches at {bad}" if bad else "none")
+    return _none_bad(bad, "mismatches at {}")
 
 
 # --- words ----------------------------------------------------------------------
@@ -227,129 +215,91 @@ def _random_word(rng, max_weight):
     return tuple(out)
 
 
-def _check_unit_law(cid, desc):
-    one = QsymPoly.from_word(())
-    z1 = QsymPoly.from_word((1,))
-    got = stuffle(z1, one)
-    return _record(
-        cid, desc, got == z1, format_qsym(z1), format_qsym(got)
-    )
-
-
-def _check_stuffle_26(cid, desc):
-    got = stuffle(QsymPoly.from_word((2,)), QsymPoly.from_word((6,)))
-    want = (
-        QsymPoly.from_word((2, 6))
-        + QsymPoly.from_word((6, 2))
-        + QsymPoly.from_word((8,))
-    )
-    return _record(
-        cid, desc, got == want, format_qsym(want), format_qsym(got)
-    )
-
-
-def _check_stuffle_12(cid, desc):
-    got = stuffle(QsymPoly.from_word((1,)), QsymPoly.from_word((2,)))
-    want = (
-        QsymPoly.from_word((1, 2))
-        + QsymPoly.from_word((2, 1))
-        + QsymPoly.from_word((3,))
-    )
-    return _record(
-        cid, desc, got == want, format_qsym(want), format_qsym(got)
-    )
+def _random_tuples(seed, count, size, max_weight):
+    """`count` tuples of `size` seeded random words, drawn word by word."""
+    rng = random.Random(seed)
+    return [
+        tuple(_random_word(rng, max_weight) for _ in range(size))
+        for _ in range(count)
+    ]
 
 
 def _small_words(max_weight):
-    out = []
-    for w in range(1, max_weight + 1):
-        out.extend(words_of_weight(w))
-    return out
+    return [w for n in range(1, max_weight + 1) for w in words_of_weight(n)]
 
 
-def _check_commutative(cid, desc):
-    words = _small_words(4)
-    bad = []
-    for u in words:
-        for v in words:
-            if stuffle_word_pair(u, v) != stuffle_word_pair(v, u):
-                bad.append((u, v))
-    rng = random.Random(SEED)
-    for _ in range(30):
-        u = _random_word(rng, 7)
-        v = _random_word(rng, 7)
-        if stuffle_word_pair(u, v) != stuffle_word_pair(v, u):
-            bad.append((u, v))
-    return _record(cid, desc, not bad, "none", f"{bad[:3]}" if bad else "none")
+def _check_unit_law():
+    z1 = QsymPoly.from_word((1,))
+    return _same(stuffle(z1, QsymPoly.from_word(())), z1, format_qsym)
 
 
-def _check_associative(cid, desc):
-    words = _small_words(3)
-    bad = []
-    for u in words:
-        for v in words:
-            for t in words:
-                lhs = stuffle(stuffle_word_pair(u, v), QsymPoly.from_word(t))
-                rhs = stuffle(QsymPoly.from_word(u), stuffle_word_pair(v, t))
-                if lhs != rhs:
-                    bad.append((u, v, t))
-    rng = random.Random(SEED + 1)
-    for _ in range(15):
-        u = _random_word(rng, 6)
-        v = _random_word(rng, 6)
-        t = _random_word(rng, 6)
-        lhs = stuffle(stuffle_word_pair(u, v), QsymPoly.from_word(t))
-        rhs = stuffle(QsymPoly.from_word(u), stuffle_word_pair(v, t))
-        if lhs != rhs:
-            bad.append((u, v, t))
-    return _record(cid, desc, not bad, "none", f"{bad[:3]}" if bad else "none")
+def _letter_stuffle(a, b):
+    """z_a * z_b = z_az_b + z_bz_a + z_(a+b)."""
+    got = stuffle(QsymPoly.from_word((a,)), QsymPoly.from_word((b,)))
+    want = (
+        QsymPoly.from_word((a, b))
+        + QsymPoly.from_word((b, a))
+        + QsymPoly.from_word((a + b,))
+    )
+    return _same(got, want, format_qsym)
 
 
-def _check_weight_additive(cid, desc):
-    rng = random.Random(SEED + 2)
-    bad = []
-    for _ in range(40):
-        u = _random_word(rng, 7)
-        v = _random_word(rng, 7)
-        product = stuffle_word_pair(u, v)
-        want = sum(u) + sum(v)
-        if product.weights() not in ([], [want]):
-            bad.append((u, v))
-    return _record(cid, desc, not bad, "none", f"{bad[:3]}" if bad else "none")
+def _check_commutative():
+    pairs = [*product(_small_words(4), repeat=2), *_random_tuples(SEED, 30, 2, 7)]
+    bad = [
+        (u, v) for u, v in pairs if stuffle_word_pair(u, v) != stuffle_word_pair(v, u)
+    ]
+    return _none_bad(bad, show=3)
 
 
-def _check_lyndon_z1(cid, desc):
-    bad = []
-    for w in range(1, 7):
-        starting = [u for u in lyndon_words(w) if u[0] == 1]
-        if w == 1 and starting != [(1,)]:
-            bad.append(w)
-        if w > 1 and starting:
-            bad.append(w)
-    return _record(cid, desc, not bad, "none", f"weights {bad}" if bad else "none")
+def _check_associative():
+    triples = [*product(_small_words(3), repeat=3), *_random_tuples(SEED + 1, 15, 3, 6)]
+    bad = [
+        (u, v, t)
+        for u, v, t in triples
+        if stuffle(stuffle_word_pair(u, v), QsymPoly.from_word(t))
+        != stuffle(QsymPoly.from_word(u), stuffle_word_pair(v, t))
+    ]
+    return _none_bad(bad, show=3)
 
 
-def _check_lyndon_counts(cid, desc):
-    got = [len(lyndon_words(w)) for w in range(1, 6)]
-    want = [1, 1, 2, 3, 6]
-    return _record(cid, desc, got == want, str(want), str(got))
+def _check_weight_additive():
+    bad = [
+        (u, v)
+        for u, v in _random_tuples(SEED + 2, 40, 2, 7)
+        if stuffle_word_pair(u, v).weights() not in ([], [sum(u) + sum(v)])
+    ]
+    return _none_bad(bad, show=3)
 
 
-def _check_cfl_roundtrip(cid, desc):
+def _check_lyndon_z1():
+    bad = [
+        w
+        for w in range(1, 7)
+        if [u for u in lyndon_words(w) if u[0] == 1] != ([(1,)] if w == 1 else [])
+    ]
+    return _none_bad(bad, "weights {}")
+
+
+def _check_lyndon_counts():
+    return _same([len(lyndon_words(w)) for w in range(1, 6)], [1, 1, 2, 3, 6])
+
+
+def _check_cfl_roundtrip():
     bad = []
     for w in _small_words(5):
         factors = lyndon_factorize(w)
-        flat = tuple(x for f in factors for x in f)
-        if flat != w or not all(is_lyndon(f) for f in factors):
-            bad.append(w)
-            continue
         keys = [word_key(f) for f in factors]
-        if keys != sorted(keys, reverse=True):
+        if (
+            tuple(x for f in factors for x in f) != w
+            or not all(is_lyndon(f) for f in factors)
+            or keys != sorted(keys, reverse=True)
+        ):
             bad.append(w)
-    return _record(cid, desc, not bad, "none", f"{bad[:3]}" if bad else "none")
+    return _none_bad(bad, show=3)
 
 
-def _check_decompose_roundtrip(cid, desc):
+def _check_decompose_roundtrip():
     bad = []
     q = QsymPoly.from_word((1, 2))
     decomposition = lyndon_decompose(q)
@@ -364,10 +314,10 @@ def _check_decompose_roundtrip(cid, desc):
         poly = QsymPoly(terms)
         if lyndon_recompose(lyndon_decompose(poly)) != poly:
             bad.append(tuple(terms))
-    return _record(cid, desc, not bad, "none", f"{bad[:2]}" if bad else "none")
+    return _none_bad(bad, show=2)
 
 
-def _check_sym_homomorphism(cid, desc):
+def _check_sym_homomorphism():
     pairs = (
         (("m", (2,)), ("m", (1,))),
         (("e", (2,)), ("p", (2,))),
@@ -377,124 +327,93 @@ def _check_sym_homomorphism(cid, desc):
     for (b1, l1), (b2, l2) in pairs:
         f = SymPoly.basis_element(b1, l1)
         g = SymPoly.basis_element(b2, l2)
-        lhs = sym_to_words(f * g)
-        rhs = stuffle(sym_to_words(f), sym_to_words(g))
-        if lhs != rhs:
+        if sym_to_words(f * g) != stuffle(sym_to_words(f), sym_to_words(g)):
             bad.append((b1, l1, b2, l2))
-    return _record(cid, desc, not bad, "none", f"{bad}" if bad else "none")
+    return _none_bad(bad)
 
 
 # --- numeric --------------------------------------------------------------------
 
 
-def _agreement_record(cid, desc, lhs, rhs):
-    diff = abs(lhs.value - rhs.value)
-    allowed = lhs.bound + rhs.bound
-    return _record(
-        cid,
-        desc,
-        diff <= allowed,
-        format_bounded(rhs, ascii_mode=True),
-        format_bounded(lhs, ascii_mode=True),
-        f"{allowed:.3g}",
-    )
-
-
-def _check_zeta2(cid, desc):
+def _check_zeta2():
     got = mzv((2,), 1e-8)
-    want = eval_zeta_poly(zeta_even(2))
-    rec = _agreement_record(cid, desc, got, want)
-    if got.bound > 1e-8:
-        rec.status = "fail"
-    return rec
+    ok, expected, actual, bound = _agree(got, eval_zeta_poly(zeta_even(2)))
+    return ok and got.bound <= 1e-8, expected, actual, bound
 
 
-def _check_zeta22(cid, desc):
-    got = mzv((2, 2), 1e-6)
+def _check_zeta22():
     want = eval_zeta_poly(zeta_even(4).scaled(Fraction(3, 4)))
-    return _agreement_record(cid, desc, got, want)
+    return _agree(mzv((2, 2), 1e-6), want)
 
 
-def _check_zeta62(cid, desc):
+def _check_zeta62():
     got = mzv((6, 2), 1e-6) + mzv((2, 6), 1e-6)
-    want = eval_zeta_poly(zeta_even(8).scaled(Fraction(2, 3)))
-    return _agreement_record(cid, desc, got, want)
+    return _agree(got, eval_zeta_poly(zeta_even(8).scaled(Fraction(2, 3))))
 
 
-def _check_doubling(cid, desc):
+def _check_doubling():
     bad = []
     for comp in ((2,), (3,), (2, 1), (2, 2), (6, 2)):
         first, cutoff = mzv_info(comp, 1e-6)
         second, _ = mzv_info(comp, 1e-6, cutoff=2 * cutoff)
         if abs(first.value - second.value) >= first.bound:
             bad.append(comp)
-    return _record(cid, desc, not bad, "none", f"{bad}" if bad else "none")
+    return _none_bad(bad)
 
 
-def _check_taylor(cid, desc):
+def _check_taylor():
     g = gamma_recip_coeffs(8)
-    bad = []
-    for i in range(9):
-        symbolic = eval_zeta_poly(
-            zeta_hom(SymPoly.basis_element("e", (i,)))
-            if i
-            else ZetaPoly.one()
-        )
-        if not symbolic.agrees_with(g[i]):
-            bad.append(i)
-    return _record(cid, desc, not bad, "none", f"degrees {bad}" if bad else "none")
+    bad = [
+        i
+        for i in range(9)
+        if not eval_zeta_poly(
+            zeta_hom(SymPoly.basis_element("e", (i,))) if i else ZetaPoly.one()
+        ).agrees_with(g[i])
+    ]
+    return _none_bad(bad, "degrees {}")
 
 
-def _check_product_validation(cid, desc):
-    gamma_recip_coeffs(12)
-    return _record(cid, desc, True, "validated", "validated")
+def _check_product_validation():
+    gamma_recip_coeffs(12)  # raises unless the series matches the product
+    return True, "validated", "validated", ""
 
 
-def _check_gamma_limit(cid, desc):
+def _check_gamma_limit():
     n = 1_000_000
-    h = _dp_sum((1,), n)[0]
-    approx = h - math.log(n) - 1.0 / (2 * n)
+    approx = _dp_sum((1,), n)[0] - math.log(n) - 1.0 / (2 * n)
     stored = generator_value(GAMMA).value
-    diff = abs(stored - approx)
-    return _record(
-        cid, desc, diff <= 1e-7, f"{stored:.12g}", f"{approx:.12g}", "1e-07"
-    )
+    return abs(stored - approx) <= 1e-7, f"{stored:.12g}", f"{approx:.12g}", "1e-07"
 
 
-def _check_pi2_series(cid, desc):
+def _check_pi2_series():
     n = 1_000_000
-    s = _dp_sum((2,), n)[0]
-    tail, _ = zeta_tail_estimate(n, 2)
-    approx = 6.0 * (s + tail)
+    approx = 6.0 * (_dp_sum((2,), n)[0] + zeta_tail_estimate(n, 2)[0])
     stored = generator_value("pi2").value
-    diff = abs(stored - approx)
-    return _record(
-        cid, desc, diff <= 1e-9, f"{stored:.12g}", f"{approx:.12g}", "1e-09"
-    )
+    return abs(stored - approx) <= 1e-9, f"{stored:.12g}", f"{approx:.12g}", "1e-09"
 
 
-def _check_cy_consistency(cid, desc):
-    bad = []
-    for i in range(2, 7):
-        for lam in q_genus_cy(i).coeffs:
-            by_sum = eval_mzv_terms(mzv_expansion(lam), 1e-6)
-            symbolic = eval_zeta_poly(
-                zeta_hom(SymPoly.basis_element("m", lam))
-            )
-            if not by_sum.agrees_with(symbolic):
-                bad.append(lam)
-    return _record(cid, desc, not bad, "none", f"{bad}" if bad else "none")
+def _check_cy_consistency():
+    bad = [
+        lam
+        for i in range(2, 7)
+        for lam in q_genus_cy(i).coeffs
+        if not eval_mzv_terms(mzv_expansion(lam), 1e-6).agrees_with(
+            eval_zeta_poly(zeta_hom(SymPoly.basis_element("m", lam)))
+        )
+    ]
+    return _none_bad(bad)
 
 
-def _check_stuffle_numeric(cid, desc):
+def _check_stuffle_numeric():
     pairs = (((2,), (2, 1)), ((3,), (2,)), ((2, 2), (3,)))
-    bad = []
-    for u, v in pairs:
-        product = eval_qsym(stuffle_word_pair(u, v), 1e-6)
-        direct = mzv(u, 1e-6) * mzv(v, 1e-6)
-        if not product.agrees_with(direct):
-            bad.append((u, v))
-    return _record(cid, desc, not bad, "none", f"{bad}" if bad else "none")
+    bad = [
+        (u, v)
+        for u, v in pairs
+        if not eval_qsym(stuffle_word_pair(u, v), 1e-6).agrees_with(
+            mzv(u, 1e-6) * mzv(v, 1e-6)
+        )
+    ]
+    return _none_bad(bad)
 
 
 # --- the suites -----------------------------------------------------------------
@@ -523,9 +442,9 @@ CHECKS = (
      "word-algebra route to ζ(m_lam) agrees with the p-basis route", _check_word_route),
     ("words", "words.unit", "empty word is the stuffle unit", _check_unit_law),
     ("words", "words.stuffle-2-6", "z_2 * z_6 = z_2z_6 + z_6z_2 + z_8",
-     _check_stuffle_26),
+     lambda: _letter_stuffle(2, 6)),
     ("words", "words.stuffle-1-2", "z_1 * z_2 = z_1z_2 + z_2z_1 + z_3",
-     _check_stuffle_12),
+     lambda: _letter_stuffle(1, 2)),
     ("words", "words.commutative",
      "stuffle commutes (exhaustive weight <= 4, random weight <= 7)",
      _check_commutative),
@@ -575,11 +494,18 @@ SUITES = tuple(dict.fromkeys(suite for suite, _, _, _ in CHECKS))
 def run_suite(name: str) -> Report:
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}")
-    return Report(
-        name,
-        [
-            _guard(check_id, description, check)
-            for suite, check_id, description, check in CHECKS
-            if name in ("all", suite)
-        ],
-    )
+    records = []
+    for suite, check_id, description, check in CHECKS:
+        if name not in ("all", suite):
+            continue
+        try:
+            ok, expected, actual, bound = check()
+        except (MemoryError, RecursionError):
+            raise  # the process is out of resources: an internal error, not a verdict
+        except Exception as exc:  # a crashed check is a failed check
+            ok, expected, actual, bound = False, "", f"raised {exc!r}", ""
+        status = "pass" if ok else "fail"
+        records.append(
+            CheckRecord(check_id, description, status, expected, actual, bound)
+        )
+    return Report(name, records)

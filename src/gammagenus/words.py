@@ -26,7 +26,7 @@ Word = tuple
 
 def check_word(w) -> Word:
     word = tuple(w)
-    if not all(isinstance(i, int) and i >= 1 for i in word):
+    if not all(type(i) is int and i >= 1 for i in word):
         raise ValueError(f"word letters must be integers >= 1: {w!r}")
     return word
 

@@ -232,7 +232,7 @@ def mzv_label(args, head: str = "zeta") -> str:
 
 def check_convergent_composition(args) -> tuple:
     comp = tuple(args)
-    if not comp or not all(isinstance(i, int) and i >= 1 for i in comp):
+    if not comp or not all(type(i) is int and i >= 1 for i in comp):
         raise ValueError(f"composition entries must be integers >= 1: {args!r}")
     if comp[0] < 2:
         raise DivergentMzvError(

@@ -111,6 +111,15 @@ def test_check_composition():
             entry((2, 0), 1e-6)
 
 
+def test_bool_composition_entries_are_rejected():
+    # True == 1, but a bool is not a composition entry at any tolerance
+    for tol in (1e-6, 1e-12):
+        with pytest.raises(ValueError, match="composition entries must be integers"):
+            mzv((2, True), tol)
+    with pytest.raises(ValueError, match="composition entries must be integers"):
+        MzvTerm(1, (True, 2))
+
+
 def test_tail_integral_r0():
     # with no log factors the closed form is N^(1-s)/(s-1)
     assert tail_integral(100.0, 3, 0, 0) == pytest.approx(100.0**-2 / 2, rel=1e-12)

@@ -8,6 +8,7 @@ from gammagenus.partitions import (
     sort_key,
     weight,
 )
+from gammagenus.symfunc import SymPoly
 
 
 def test_partitions_of_small():
@@ -53,6 +54,15 @@ def test_as_partition_accepts_and_canonicalizes():
 def test_as_partition_rejects(bad):
     with pytest.raises(ValueError):
         as_partition(bad)
+
+
+def test_bool_parts_are_not_partitions():
+    assert not is_partition((True,))
+    assert not is_partition((2, True))
+    with pytest.raises(ValueError):
+        as_partition((True,))
+    with pytest.raises(ValueError):
+        SymPoly.basis_element("m", (True,))
 
 
 def test_partitions_of_rejects_negative():

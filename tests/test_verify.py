@@ -45,7 +45,7 @@ def test_unknown_suite_rejected():
 
 
 def test_crashed_check_is_a_failed_check(monkeypatch):
-    def crash(cid, desc):
+    def crash():
         raise RuntimeError("boom")
 
     monkeypatch.setattr(
@@ -68,7 +68,7 @@ def test_crashed_check_is_a_failed_check(monkeypatch):
 )
 def test_out_of_resources_is_an_internal_error(monkeypatch, capsys, error, code):
     # a check that runs out of memory or stack has not failed: the process has
-    def crash(cid, desc):
+    def crash():
         raise error("boom")
 
     monkeypatch.setattr(
@@ -98,9 +98,61 @@ def test_constant_checks_sum_in_fixed_memory(name):
 
     tracemalloc.start()
     try:
-        check = getattr(verify, name)(name, "")
+        ok = getattr(verify, name)()[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert check.passed
+    assert ok
     assert peak < 4_000_000
+
+
+def test_failed_checks_report_expected_actual_and_bound(monkeypatch, capsys):
+    # break the inputs of one check of each kind, and crash one more
+    real_zeta_even, real_zeta_gen = verify.zeta_even, verify.zeta_gen
+    monkeypatch.setattr(verify, "zeta_even", lambda k: real_zeta_even(k).scaled(2))
+    monkeypatch.setattr(
+        verify, "zeta_gen", lambda k: real_zeta_gen(k).scaled(1 + (k == 5))
+    )
+    monkeypatch.setattr(
+        verify, "stuffle_word_pair", lambda u, v: verify.QsymPoly.from_word(u + v)
+    )
+
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    picked = ("sym.leading", "sym.m22", "words.commutative", "num.zeta22")
+    checks = tuple(row for row in verify.CHECKS if row[1] in picked)
+    monkeypatch.setattr(
+        verify, "CHECKS", checks + (("numeric", "num.crash", "always raises", crash),)
+    )
+    pairs = "[((1,), (2,)), ((1,), (1, 2)), ((1,), (2, 1))]"
+    zeta22 = ("1.62348485057 +/- 3.64e-14", "0.811742425446 +/- 2.15e-07", "2.15e-07")
+    records = [
+        (c.id, c.status, c.expected, c.actual, c.bound)
+        for c in run_suite("all").checks
+    ]
+    assert records == [
+        ("sym.leading", "fail", "none", "mismatches at [5]", ""),
+        ("sym.m22", "fail", "1/60 π^4", "1/120 π^4", ""),
+        ("words.commutative", "fail", "none", pairs, ""),
+        ("num.zeta22", "fail", *zeta22),
+        ("num.crash", "fail", "", "raised RuntimeError('boom')", ""),
+    ]
+
+    assert cli.main(["verify", "--suite", "all"]) == cli.EXIT_VERIFY_FAILED
+    out, err = capsys.readouterr()
+    assert err == ""
+    detail = [line.strip() for line in out.splitlines() if line.startswith(" ")]
+    assert detail == [
+        "expected: none",
+        "actual:   mismatches at [5]",
+        "expected: 1/60 π^4",
+        "actual:   1/120 π^4",
+        "expected: none",
+        f"actual:   {pairs}",
+        f"expected: {zeta22[0]}",
+        f"actual:   {zeta22[1]}",
+        f"bound:    {zeta22[2]}",
+        "actual:   raised RuntimeError('boom')",
+    ]
+    assert out.splitlines()[-1] == "0/5 checks passed"

@@ -220,3 +220,11 @@ def test_qsym_rejects_bad_letters():
         QsymPoly({(0,): 1})
     with pytest.raises(ValueError):
         QsymPoly.from_word((2, -1))
+
+
+def test_bool_letters_are_rejected():
+    for word in ((True, 2), (2, False), (True,)):
+        with pytest.raises(ValueError, match="letters must be integers"):
+            QsymPoly.from_word(word)
+    with pytest.raises(ValueError):
+        stuffle_word_pair((True,), (2,))
