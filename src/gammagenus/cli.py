@@ -104,7 +104,10 @@ def cmd_qgenus(opts) -> int:
     )
     from .render import format_cy_genus_line, format_genus_line
 
-    lo = 2 if opts.cy else 1
+    if opts.cy:
+        lo, genus, to_json, line = 2, q_genus_cy, cy_genus_to_json, format_cy_genus_line
+    else:
+        lo, genus, to_json, line = 1, q_genus, genus_to_json, format_genus_line
     if opts.max < lo or opts.max > DEGREE_BUDGET:
         print(
             f"qgenus: --max must be between {lo} and {DEGREE_BUDGET}"
@@ -117,10 +120,6 @@ def cmd_qgenus(opts) -> int:
 
         # One degree at a time, byte for byte what json.dumps(list, indent=2)
         # prints, so only one degree's objects are alive at once.
-        if opts.cy:
-            genus, to_json = q_genus_cy, cy_genus_to_json
-        else:
-            genus, to_json = q_genus, genus_to_json
         sep = "[\n  "
         for i in range(lo, opts.max + 1):
             text = json.dumps(to_json(genus(i)), indent=2, sort_keys=True)
@@ -129,10 +128,7 @@ def cmd_qgenus(opts) -> int:
         sys.stdout.write("\n]\n")
         return EXIT_OK
     for i in range(lo, opts.max + 1):
-        if opts.cy:
-            print(format_cy_genus_line(q_genus_cy(i), ascii_mode=opts.ascii))
-        else:
-            print(format_genus_line(q_genus(i), ascii_mode=opts.ascii))
+        print(line(genus(i), ascii_mode=opts.ascii))
     return EXIT_OK
 
 

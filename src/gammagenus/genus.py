@@ -17,7 +17,6 @@ multiple zeta values.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import prod
 
 from .partitions import as_partition, partitions_of, sort_key
@@ -96,7 +95,7 @@ class CyGenusPolynomial(_Genus):
 
 
 def _check_degree(i: int, label: str) -> int:
-    if not isinstance(i, int) or isinstance(i, bool):
+    if type(i) is not int:
         raise TypeError(f"{label} degree must be an int, got {i!r}")
     if i < 1:
         raise ValueError(f"{label} degree must be >= 1, got {i}")
@@ -107,7 +106,6 @@ def _check_degree(i: int, label: str) -> int:
     return i
 
 
-@lru_cache(maxsize=None)
 def q_genus(i: int) -> GenusPolynomial:
     """Q_i with the coefficient of c_lambda given by zeta_hom(m_lambda)."""
     i = _check_degree(i, "genus")
@@ -164,24 +162,19 @@ def q_genus_cy(i: int) -> CyGenusPolynomial:
 # --- JSON ---------------------------------------------------------------------
 
 
-def genus_to_json(gp: GenusPolynomial) -> dict:
+def _genus_json(gp: _Genus, key: str, coeff_json) -> dict:
     return {
         "degree": gp.degree,
         "terms": [
-            {"c_partition": list(lam), "coeff": zetapoly_to_json(c)}
+            {"c_partition": list(lam), key: coeff_json(c)}
             for lam, c in gp.sorted_terms()
         ],
     }
 
 
+def genus_to_json(gp: GenusPolynomial) -> dict:
+    return _genus_json(gp, "coeff", zetapoly_to_json)
+
+
 def cy_genus_to_json(gp: CyGenusPolynomial) -> dict:
-    return {
-        "degree": gp.degree,
-        "terms": [
-            {
-                "c_partition": list(lam),
-                "mzv_terms": [t.to_json() for t in terms],
-            }
-            for lam, terms in gp.sorted_terms()
-        ],
-    }
+    return _genus_json(gp, "mzv_terms", lambda terms: [t.to_json() for t in terms])

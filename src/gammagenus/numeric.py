@@ -29,6 +29,7 @@ from math import comb
 from .zetaring import (
     DivergentMzvError,
     GAMMA,
+    MzvTerm,
     PI2,
     ZetaPoly,
     check_convergent_composition,
@@ -61,8 +62,10 @@ PI_DECIMAL = "3.14159265358979323846264338327950288419716939937510"
 
 
 class CutoffBudgetError(ValueError):
-    """No rung of the cutoff ladder certifies the tolerance; the message
-    names the tightest tolerance the ladder does certify."""
+    """The request cannot be certified: either no rung of the cutoff ladder
+    meets the tolerance, and the message names the tightest tolerance the
+    ladder does certify, or the composition's bound leaves the float range,
+    and the message names the composition and says so."""
 
 
 class BoundedValue:
@@ -378,17 +381,24 @@ def mzv_info(args, tol: float, *, cutoff=None):
     tol = float(tol)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    if cutoff is None:
-        N, zmid, ez, rup = _choose_cutoff(comp, tol)
-    else:
-        if type(cutoff) is not int or not FIRST_RUNG <= cutoff <= MAX_CUTOFF:
-            raise ValueError(
-                f"cutoff must be an int from {FIRST_RUNG} to {MAX_CUTOFF}, "
-                f"got {cutoff!r}"
-            )
-        N = cutoff
-        zmid, ez = zeta_tail_estimate(N, comp[0])
-        rup = _remainder_cap(comp, N, *_majorant_chain(comp))
+    try:
+        if cutoff is None:
+            N, zmid, ez, rup = _choose_cutoff(comp, tol)
+        else:
+            if type(cutoff) is not int or not FIRST_RUNG <= cutoff <= MAX_CUTOFF:
+                raise ValueError(
+                    f"cutoff must be an int from {FIRST_RUNG} to {MAX_CUTOFF}, "
+                    f"got {cutoff!r}"
+                )
+            N = cutoff
+            zmid, ez = zeta_tail_estimate(N, comp[0])
+            rup = _remainder_cap(comp, N, *_majorant_chain(comp))
+    except OverflowError:
+        # a huge exponent, or a majorant's factorial after many 1s
+        raise CutoffBudgetError(
+            f"the error bound for {mzv_label(comp)} leaves the float range; "
+            "64-bit summation cannot certify it"
+        ) from None
     k = len(comp)
     partial, carry = _dp_sum(comp, N)
     t2 = carry[2] if k >= 2 else 1.0
@@ -412,25 +422,14 @@ def mzv(args, tol: float) -> BoundedValue:
 # --- generator values -----------------------------------------------------------
 
 
-def _stored_gamma() -> BoundedValue:
-    v = float(GAMMA_DECIMAL)
-    return BoundedValue(v, abs(v) * 2.0 ** -52)
-
-
-def _stored_pi2() -> BoundedValue:
-    v = float(PI_DECIMAL)
-    pi_bv = BoundedValue(v, abs(v) * 2.0 ** -52)
-    return pi_bv * pi_bv
-
-
 @lru_cache(maxsize=None)
 def generator_value(name: str) -> BoundedValue:
-    if name == GAMMA:
-        return _stored_gamma()
-    if name == PI2:
-        return _stored_pi2()
-    k = generator_weight(name)
-    return mzv((k,), ZETA_TOL)
+    """gamma and pi^2 from the stored decimals, an odd zeta summed to ZETA_TOL."""
+    if name not in (GAMMA, PI2):
+        return mzv((generator_weight(name),), ZETA_TOL)
+    v = float(GAMMA_DECIMAL if name == GAMMA else PI_DECIMAL)
+    stored = BoundedValue(v, abs(v) * 2.0 ** -52)
+    return stored if name == GAMMA else stored * stored
 
 
 def generator_values(odd_limit: int = 13) -> dict:
@@ -462,10 +461,7 @@ def eval_mzv_terms(terms, tol: float = 1e-8) -> BoundedValue:
 
 def eval_qsym(q, tol: float = 1e-8) -> BoundedValue:
     """Evaluate a word polynomial; every word must be convergent."""
-    acc = BoundedValue.exact(0.0)
-    for w, c in sorted(q.terms.items()):
-        acc = acc + mzv(w, tol).scale_fraction(c)
-    return acc
+    return eval_mzv_terms([MzvTerm(c, w) for w, c in sorted(q.terms.items())], tol)
 
 
 # --- Taylor coefficients of 1/Gamma(1+z) ----------------------------------------
@@ -489,7 +485,7 @@ def recip_gamma_product(z: float) -> BoundedValue:
     if not -0.9 <= z <= 0.9:
         raise ValueError("sample point out of the validated range")
     M = _PRODUCT_TERMS
-    gamma_bv = _stored_gamma()
+    gamma_bv = generator_value(GAMMA)
     n = np.arange(1, M + 1, dtype=np.float64)
     zn = z / n
     body = np.log1p(zn) - zn
@@ -513,6 +509,7 @@ def recip_gamma_product(z: float) -> BoundedValue:
     return BoundedValue(value, bound)
 
 
+@lru_cache(maxsize=None)
 def _recip_gamma_series(degree: int):
     """BoundedValue Taylor coefficients g_0..g_degree of 1/Gamma(1+z).
 
@@ -520,9 +517,10 @@ def _recip_gamma_series(degree: int):
     degree-k coefficient works out to (-1)^(k-1) zeta(k)/k; exponentiating
     through the usual recurrence n g_n = sum k l_k g_{n-k} gives the g_i.
     The zeta inputs come from the summation route, never from the symbolic
-    homomorphism, so this stays an independent oracle.
+    homomorphism, so this stays an independent oracle.  Only a series that
+    passes _validate_recip_series is returned, and so cached.
     """
-    ell = [None, _stored_gamma()]
+    ell = [None, generator_value(GAMMA)]
     for k in range(2, degree + 1):
         sign = Fraction((-1) ** (k - 1), k)
         ell.append(mzv((k,), ZETA_TOL).scale_fraction(sign))
@@ -532,6 +530,7 @@ def _recip_gamma_series(degree: int):
         for k in range(1, n + 1):
             acc = acc + ell[k].scale_fraction(k) * g[n - k]
         g.append(acc.scale_fraction(Fraction(1, n)))
+    _validate_recip_series(g)
     return tuple(g)
 
 
@@ -581,13 +580,6 @@ def _validate_recip_series(g) -> None:
             )
 
 
-@lru_cache(maxsize=None)
-def _validated_series(degree: int):
-    g = _recip_gamma_series(degree)
-    _validate_recip_series(g)
-    return g
-
-
 def gamma_recip_coeffs(N: int):
     """Taylor coefficients g_0..g_N of 1/Gamma(1+z), each with a bound.
 
@@ -598,5 +590,5 @@ def gamma_recip_coeffs(N: int):
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    g = _validated_series(max(N, _WINDOW_DEGREE))
+    g = _recip_gamma_series(max(N, _WINDOW_DEGREE))
     return list(g[: N + 1])

@@ -9,9 +9,15 @@ from functools import lru_cache
 Partition = tuple
 
 
+def are_letters(parts) -> bool:
+    """True if every entry is an int >= 1, not a bool: the one check on the
+    parts of a partition, the letters of a word and an MZV's arguments."""
+    return all(type(i) is int and i >= 1 for i in parts)
+
+
 def is_partition(parts) -> bool:
     """True if ``parts`` is weakly decreasing with every part an int >= 1 (no bools)."""
-    return all(type(p) is int and p >= 1 for p in parts) and all(
+    return are_letters(parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 

@@ -43,7 +43,8 @@ class LinearCombination:
     A subclass's own ``__slots__`` name its extra state (SymPoly.basis,
     MultiPoly.nvars).  Results carry that state over, equality compares it,
     and combining operands whose state differs raises ValueError with the
-    subclass's ``_mismatch`` message.
+    subclass's ``_mismatch`` message; operands of different classes do not
+    combine at all (TypeError).
     """
 
     __slots__ = ("terms",)
@@ -71,6 +72,10 @@ class LinearCombination:
         return out
 
     def _check_compatible(self, other) -> None:
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
         if any(getattr(self, n) != getattr(other, n) for n in self.__slots__):
             raise ValueError(self._mismatch)
 
@@ -93,7 +98,7 @@ class LinearCombination:
         return self._like(out)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return self + -other
 
     def __neg__(self):
         return self.scaled(-1)

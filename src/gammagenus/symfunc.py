@@ -149,9 +149,6 @@ class SymPoly(LinearCombination):
         )
         return to_basis(product, self.basis)
 
-    def weights(self) -> list:
-        return sorted({sum(lam) for lam in self.terms})
-
     def __repr__(self) -> str:
         body = ", ".join(
             f"{lam}: {c}" for lam, c in sorted(self.terms.items(), key=lambda t: sort_key(t[0]))

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import as_partition
+from .partitions import are_letters, as_partition
 from .rationals import LinearCombination, exact, frac_str
 from .symfunc import SymPoly, to_basis
 from .symfunc import _orbit_exponent_vectors
@@ -26,7 +26,7 @@ Word = tuple
 
 def check_word(w) -> Word:
     word = tuple(w)
-    if not all(type(i) is int and i >= 1 for i in word):
+    if not are_letters(word):
         raise ValueError(f"word letters must be integers >= 1: {w!r}")
     return word
 
@@ -113,6 +113,7 @@ def _stuffle_words(u: Word, v: Word):
 
 def stuffle(a: QsymPoly, b: QsymPoly) -> QsymPoly:
     """Bilinear extension of the word-level stuffle product."""
+    a._check_compatible(b)
     out: dict = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():

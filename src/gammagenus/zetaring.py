@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm
 
-from .partitions import partitions_of
+from .partitions import are_letters, partitions_of
 from .rationals import LinearCombination, exact, frac_str
 from .symfunc import SymPoly, _m_in_p, to_basis
 
@@ -64,7 +64,7 @@ def _monomial(pairs) -> tuple:
     merged: dict = {}
     for name, e in pairs:
         generator_weight(name)
-        if not isinstance(e, int) or e < 0:
+        if type(e) is not int or e < 0:
             raise ValueError(f"exponent of {name!r} must be an int >= 0: {e!r}")
         if e:
             merged[name] = merged.get(name, 0) + e
@@ -103,9 +103,6 @@ class ZetaPoly(LinearCombination):
         for _ in range(k):
             acc = acc * self
         return acc
-
-    def weights(self) -> list:
-        return sorted({monomial_weight(m) for m in self.terms})
 
     def is_homogeneous(self, w: int) -> bool:
         return all(monomial_weight(m) == w for m in self.terms)
@@ -232,7 +229,7 @@ def mzv_label(args, head: str = "zeta") -> str:
 
 def check_convergent_composition(args) -> tuple:
     comp = tuple(args)
-    if not comp or not all(type(i) is int and i >= 1 for i in comp):
+    if not comp or not are_letters(comp):
         raise ValueError(f"composition entries must be integers >= 1: {args!r}")
     if comp[0] < 2:
         raise DivergentMzvError(

@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import importlib
 import json
 import os
 import resource
@@ -181,6 +182,33 @@ def test_package_names_load_on_first_use():
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "[] [] 46"
+
+
+# every lru_cache in the package, by module: adding or dropping one is a
+# declared change, and these are the caches process-level stats would read
+CACHES = {
+    "numeric": {"_plan", "_recip_gamma_series", "_sum_majorant", "generator_value"},
+    "partitions": {"partitions_of"},
+    "symfunc": {"_coefficient", "_m_in_e", "_m_in_p"},
+    "words": {"_stuffle_words"},
+    "zetaring": {"_power_sum_images", "bernoulli"},
+}
+
+
+def test_cache_inventory():
+    found = {}
+    for path in sorted(Path(gammagenus.__file__).parent.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        module = importlib.import_module(f"gammagenus.{path.stem}")
+        names = {
+            name
+            for name, obj in vars(module).items()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+        }
+        if names:
+            found[path.stem] = names
+    assert found == CACHES
 
 
 # test oracles: only the tests call them, and they stay
@@ -377,6 +405,19 @@ def test_mzv_budget_exit_code():
     res = run_cli("mzv", "--args", "12", "--tol", "1e-300")
     assert res.returncode == 2
     assert "for zeta(12) needs" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "args, label",
+    [("2," + ",".join(["1"] * 200), "zeta(2,1,1,"), (str(10**65), "zeta(1000")],
+    ids=["two-then-200-ones", "ten-to-the-65"],
+)
+def test_mzv_refuses_a_bound_that_leaves_the_float_range(args, label):
+    res = run_cli("mzv", "--args", args)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"mzv: the error bound for {label}")
+    assert "leaves the float range" in res.stderr
+    assert "internal error" not in res.stderr
 
 
 def test_mzv_refusal_names_the_tightest_tolerance():

@@ -9,6 +9,8 @@ from gammagenus.partitions import (
     weight,
 )
 from gammagenus.symfunc import SymPoly
+from gammagenus.words import QsymPoly
+from gammagenus.zetaring import check_convergent_composition
 
 
 def test_partitions_of_small():
@@ -63,6 +65,17 @@ def test_bool_parts_are_not_partitions():
         as_partition((True,))
     with pytest.raises(ValueError):
         SymPoly.basis_element("m", (True,))
+
+
+@pytest.mark.parametrize("bad", [True, 0, 2.0])
+def test_one_letter_check_refuses_bools_zero_and_floats(bad):
+    # partitions, words and compositions share one check and keep their messages
+    with pytest.raises(ValueError, match=r"^not a partition: "):
+        as_partition((2, bad))
+    with pytest.raises(ValueError, match=r"^word letters must be integers >= 1: "):
+        QsymPoly.from_word((2, bad))
+    with pytest.raises(ValueError, match=r"^composition entries must be integers >= 1: "):
+        check_convergent_composition((2, bad))
 
 
 def test_partitions_of_rejects_negative():

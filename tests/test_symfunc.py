@@ -246,7 +246,7 @@ def test_conversion_roundtrip(data):
 @given(st.data())
 def test_conversion_agrees_with_raw_expansion(data):
     f = _random_sympoly(data.draw)
-    n = max(f.weights() or [1])
+    n = max((sum(lam) for lam in f.terms), default=1)
     n = max(n, 1)
     target = data.draw(st.sampled_from(("m", "e", "p")))
     g = to_basis(f, target)
@@ -313,3 +313,10 @@ def test_linear_combination_contract(name):
     for op in rejected:
         with pytest.raises(ValueError):
             op(a, mismatched)
+    # an operand of another class never combines, whatever its keys
+    foreign = (ZetaPoly.one(), MzvValue.one(), QsymPoly.from_word((2,)), mismatched, 1)
+    for other in foreign:
+        if type(other) is not type(a):
+            for op in (add, sub, lambda x, y: x._combine(y, max)):
+                with pytest.raises(TypeError):
+                    op(a, other)

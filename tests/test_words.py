@@ -21,6 +21,7 @@ from gammagenus.words import (
     word_key,
     words_of_weight,
 )
+from gammagenus.zetaring import MzvValue, ZetaPoly
 
 words = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple)
 small_words = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple)
@@ -228,3 +229,12 @@ def test_bool_letters_are_rejected():
             QsymPoly.from_word(word)
     with pytest.raises(ValueError):
         stuffle_word_pair((True,), (2,))
+
+
+def test_stuffle_refuses_another_class():
+    # each of these has the empty key, which the stuffle would treat as the unit
+    for other in (ZetaPoly.one(), MzvValue.one(), SymPoly.basis_element("m", ())):
+        with pytest.raises(TypeError):
+            QsymPoly.from_word((2,)) * other
+        with pytest.raises(TypeError):
+            stuffle(QsymPoly.from_word((2,)), other)

@@ -29,6 +29,13 @@ GAMMA_GEN = ZetaPoly.generator(GAMMA)
 PI2 = ZetaPoly.generator("pi2")
 
 
+def test_bool_exponents_are_rejected():
+    with pytest.raises(ValueError, match="must be an int >= 0"):
+        ZetaPoly.generator(GAMMA, True)
+    with pytest.raises(ValueError, match="must be an int >= 0"):
+        ZetaPoly({(("zeta3", False),): 1})
+
+
 def test_bernoulli_numbers():
     expected = {
         0: Fraction(1),
@@ -70,12 +77,12 @@ def test_zetapoly_arithmetic():
 
 
 def test_zetapoly_weights_and_homogeneity():
-    assert GAMMA_GEN.weights() == [1]
-    assert PI2.weights() == [2]
-    assert zeta_gen(5).weights() == [5]
+    assert GAMMA_GEN.is_homogeneous(1)
+    assert PI2.is_homogeneous(2)
+    assert zeta_gen(5).is_homogeneous(5)
     mixed = GAMMA_GEN + PI2
-    assert mixed.weights() == [1, 2]
     assert not mixed.is_homogeneous(1)
+    assert not mixed.is_homogeneous(2)
     assert (GAMMA_GEN ** 3).is_homogeneous(3)
 
 
