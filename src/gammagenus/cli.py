@@ -159,7 +159,7 @@ def cmd_mzv(opts) -> int:
         _print_json(value.to_json())
     else:
         label = format_mzv_args(comp, ascii_mode=True)
-        print(f"{label} = {format_bounded(value, ascii_mode=True)}")
+        print(f"{label} = {format_bounded(value)}")
     return EXIT_OK
 
 
@@ -194,12 +194,9 @@ def cmd_verify(opts) -> int:
             line = f"[{marker}] {check.id}: {check.description}"
             print(line)
             if not check.passed:
-                if check.expected:
-                    print(f"       expected: {check.expected}")
-                if check.actual:
-                    print(f"       actual:   {check.actual}")
-                if check.bound:
-                    print(f"       bound:    {check.bound}")
+                for field in ("expected", "actual", "bound"):
+                    if value := getattr(check, field):
+                        print(f"       {field + ':':<9} {value}")
         total = len(report.checks)
         good = sum(1 for c in report.checks if c.passed)
         print(f"{good}/{total} checks passed")

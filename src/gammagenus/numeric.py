@@ -90,8 +90,7 @@ class BoundedValue:
         return BoundedValue(v, self.bound + other.bound + abs(v) * EPS_OP)
 
     def __sub__(self, other: "BoundedValue") -> "BoundedValue":
-        v = self.value - other.value
-        return BoundedValue(v, self.bound + other.bound + abs(v) * EPS_OP)
+        return self + -other
 
     def __neg__(self) -> "BoundedValue":
         return BoundedValue(-self.value, self.bound)

@@ -71,11 +71,14 @@ class LinearCombination:
         out.terms = {k: c for k, c in terms.items() if c}
         return out
 
-    def _check_compatible(self, other) -> None:
+    def _check_type(self, other) -> None:
         if type(other) is not type(self):
             raise TypeError(
                 f"cannot combine {type(self).__name__} with {type(other).__name__}"
             )
+
+    def _check_compatible(self, other) -> None:
+        self._check_type(other)
         if any(getattr(self, n) != getattr(other, n) for n in self.__slots__):
             raise ValueError(self._mismatch)
 

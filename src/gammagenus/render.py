@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .partitions import sort_key
 from .zetaring import GAMMA, PI2, ZetaPoly, generator_weight, mzv_label
 
 
@@ -53,14 +52,8 @@ def format_zeta_poly(p: ZetaPoly, ascii_mode: bool = False) -> str:
     )
 
 
-def format_word(w) -> str:
-    if not w:
-        return "1"
-    return "".join(f"z_{i}" for i in w)
-
-
 def format_qsym(q) -> str:
-    return _signed_sum((c, format_word(w) if w else "") for w, c in q.sorted_terms())
+    return _signed_sum((c, "".join(f"z_{i}" for i in w)) for w, c in q.sorted_terms())
 
 
 def format_c_monomial(lam) -> str:
@@ -80,31 +73,26 @@ def format_mzv_terms(terms, ascii_mode: bool = False) -> str:
     return _signed_sum((t.coeff, format_mzv_args(t.args, ascii_mode)) for t in terms)
 
 
-def format_genus_line(gp, ascii_mode: bool = False) -> str:
+def _genus_line(head: str, gp, fmt, ascii_mode: bool) -> str:
+    """Join the "coefficient c_lambda" pieces after "head = ", bracketing a
+    coefficient of more than one term or with a leading minus sign."""
     parts = []
-    for lam in sorted(gp.coeffs, key=sort_key):
-        coeff = gp.coeffs[lam]
-        body = format_zeta_poly(coeff, ascii_mode)
-        cm = format_c_monomial(lam)
-        if len(coeff.terms) > 1 or body.startswith("-"):
-            parts.append(f"({body}) {cm}")
-        else:
-            parts.append(f"{body} {cm}")
-    return f"Q_{gp.degree} = " + " + ".join(parts)
+    for lam, coeff in gp.sorted_terms():
+        body = fmt(coeff, ascii_mode)
+        terms = coeff.terms if isinstance(coeff, ZetaPoly) else coeff
+        if len(terms) > 1 or body.startswith("-"):
+            body = f"({body})"
+        parts.append(f"{body} {format_c_monomial(lam)}")
+    return f"{head} = " + " + ".join(parts)
+
+
+def format_genus_line(gp, ascii_mode: bool = False) -> str:
+    return _genus_line(f"Q_{gp.degree}", gp, format_zeta_poly, ascii_mode)
 
 
 def format_cy_genus_line(gp, ascii_mode: bool = False) -> str:
-    parts = []
-    for lam, terms in gp.sorted_terms():
-        body = format_mzv_terms(terms, ascii_mode)
-        cm = format_c_monomial(lam)
-        if len(terms) > 1:
-            parts.append(f"({body}) {cm}")
-        else:
-            parts.append(f"{body} {cm}")
-    return f"Q_{gp.degree}[c_1=0] = " + " + ".join(parts)
+    return _genus_line(f"Q_{gp.degree}[c_1=0]", gp, format_mzv_terms, ascii_mode)
 
 
-def format_bounded(bv, ascii_mode: bool = False) -> str:
-    pm = "+/-" if ascii_mode else "±"
-    return f"{bv.value:.12g} {pm} {bv.bound:.3g}"
+def format_bounded(bv) -> str:
+    return f"{bv.value:.12g} +/- {bv.bound:.3g}"

@@ -142,6 +142,7 @@ class SymPoly(LinearCombination):
 
     def __mul__(self, other: "SymPoly") -> "SymPoly":
         """Product, routed through the p basis where it is free."""
+        self._check_type(other)
         fp = to_basis(self, "p")
         product = fp._combine(
             to_basis(other, "p"),
@@ -238,9 +239,8 @@ def _m_in_e(lam: Partition) -> dict:
     """
     lead = _conjugate(lam)
     out = {lead: 1}
-    for mu in partitions_of(sum(lam)):
-        c = _coefficient("e", lead, mu) if mu != lam else 0
-        if c:
+    for mu, c in _row("e", "m", lead).items():
+        if mu != lam:
             for nu, q in _m_in_e(mu).items():
                 out[nu] = out.get(nu, 0) - c * q
     return {nu: q for nu, q in out.items() if q}
@@ -313,9 +313,8 @@ def e_to_m_matrix(n: int):
     if n < 1:
         raise ValueError("weight must be >= 1")
     parts = partitions_of(n)
-    return [
-        [Fraction(_coefficient("e", lam, mu)) for mu in parts] for lam in parts
-    ]
+    rows = [_row("e", "m", lam) for lam in parts]
+    return [[Fraction(row.get(mu, 0)) for mu in parts] for row in rows]
 
 
 def to_basis(f: SymPoly, target: str) -> SymPoly:

@@ -118,8 +118,8 @@ def _agree(got, want):
     allowed = got.bound + want.bound
     return (
         abs(got.value - want.value) <= allowed,
-        format_bounded(want, ascii_mode=True),
-        format_bounded(got, ascii_mode=True),
+        format_bounded(want),
+        format_bounded(got),
         f"{allowed:.3g}",
     )
 
@@ -378,18 +378,22 @@ def _check_product_validation():
     return True, "validated", "validated", ""
 
 
+def _near_stored(name, approx, tol):
+    """Verdict that the stored constant `name` is within `tol` of `approx`."""
+    stored = generator_value(name).value
+    return abs(stored - approx) <= tol, f"{stored:.12g}", f"{approx:.12g}", f"{tol:.0e}"
+
+
 def _check_gamma_limit():
     n = 1_000_000
     approx = _dp_sum((1,), n)[0] - math.log(n) - 1.0 / (2 * n)
-    stored = generator_value(GAMMA).value
-    return abs(stored - approx) <= 1e-7, f"{stored:.12g}", f"{approx:.12g}", "1e-07"
+    return _near_stored(GAMMA, approx, 1e-7)
 
 
 def _check_pi2_series():
     n = 1_000_000
     approx = 6.0 * (_dp_sum((2,), n)[0] + zeta_tail_estimate(n, 2)[0])
-    stored = generator_value("pi2").value
-    return abs(stored - approx) <= 1e-9, f"{stored:.12g}", f"{approx:.12g}", "1e-09"
+    return _near_stored("pi2", approx, 1e-9)
 
 
 def _check_cy_consistency():

@@ -98,16 +98,11 @@ def _stuffle_words(u: Word, v: Word):
     if not v:
         return ((u, 1),)
     out: dict = {}
-    head_u, head_v = u[0], v[0]
-    for w, c in _stuffle_words(u[1:], v):
-        key = (head_u,) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_words(u, v[1:]):
-        key = (head_v,) + w
-        out[key] = out.get(key, 0) + c
-    for w, c in _stuffle_words(u[1:], v[1:]):
-        key = (head_u + head_v,) + w
-        out[key] = out.get(key, 0) + c
+    cases = ((u[0], u[1:], v), (v[0], u, v[1:]), (u[0] + v[0], u[1:], v[1:]))
+    for head, left, right in cases:
+        for w, c in _stuffle_words(left, right):
+            key = (head,) + w
+            out[key] = out.get(key, 0) + c
     return tuple(out.items())
 
 
@@ -182,24 +177,26 @@ def lyndon_decompose(q: QsymPoly) -> dict:
     Returns a map from monomials (tuples of Lyndon words, weakly decreasing
     in the word order) to rational coefficients.  Works by leading-term
     elimination: the stuffle expansion of the factorization of a word has
-    that word as its maximal term, which is asserted on every pivot.
+    that word as its maximal term, which is asserted on every pivot.  One
+    pass over all of q is enough: the stuffle keeps weight, so an expansion
+    only touches words of its pivot's weight, and each weight is eliminated
+    exactly as it would be on its own.
     """
     result: dict = {}
-    for w0 in q.weights():
-        residual = q._like({w: c for w, c in q.terms.items() if sum(w) == w0})
-        while residual:
-            pivot = residual.max_word()
-            coeff = residual.terms[pivot]
-            factors = lyndon_factorize(pivot)
-            expansion = stuffle_power_product(factors)
-            if expansion.max_word() != pivot:
-                raise AssertionError(
-                    f"triangularity violated at pivot {pivot}: "
-                    f"expansion leads with {expansion.max_word()}"
-                )
-            c = exact(Fraction(coeff, expansion.terms[pivot]))
-            result[factors] = result.get(factors, 0) + c
-            residual = residual - expansion.scaled(c)
+    residual = q
+    while residual:
+        pivot = residual.max_word()
+        coeff = residual.terms[pivot]
+        factors = lyndon_factorize(pivot)
+        expansion = stuffle_power_product(factors)
+        if expansion.max_word() != pivot:
+            raise AssertionError(
+                f"triangularity violated at pivot {pivot}: "
+                f"expansion leads with {expansion.max_word()}"
+            )
+        c = exact(Fraction(coeff, expansion.terms[pivot]))
+        result[factors] = result.get(factors, 0) + c
+        residual = residual - expansion.scaled(c)
     return {mono: c for mono, c in result.items() if c}
 
 

@@ -371,21 +371,17 @@ def stuffle_reduce(value: MzvValue) -> ZetaPoly:
         else:
             raise ValueError(f"no forced reduction at depth {len(comp)}: {comp}")
     while pending:
-        (a, b), poly = next(iter(pending.items()))
+        a, b = next(iter(pending))
+        poly = pending.pop((a, b))
+        # zeta(a,a) is its own partner, so it stands for half the pair
         if a == b:
-            del pending[(a, b)]
-            half = poly.scaled(Fraction(1, 2))
-            acc = acc + half * (zeta_gen(a) * zeta_gen(a) - zeta_gen(2 * a))
-        else:
-            partner = pending.get((b, a))
-            if partner is None or partner != poly:
-                raise ValueError(
-                    f"zeta({a},{b}) lacks a matching zeta({b},{a}) term; "
-                    "the stuffle identity does not apply"
-                )
-            del pending[(a, b)]
-            del pending[(b, a)]
-            acc = acc + poly * (zeta_gen(a) * zeta_gen(b) - zeta_gen(a + b))
+            poly = poly.scaled(Fraction(1, 2))
+        elif pending.pop((b, a), None) != poly:
+            raise ValueError(
+                f"zeta({a},{b}) lacks a matching zeta({b},{a}) term; "
+                "the stuffle identity does not apply"
+            )
+        acc = acc + poly * (zeta_gen(a) * zeta_gen(b) - zeta_gen(a + b))
     return acc
 
 

@@ -8,7 +8,6 @@ import os
 import resource
 import subprocess
 import sys
-import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -218,20 +217,31 @@ ORACLES = {"collect_symmetric_to_m"}
 def test_every_definition_is_used():
     # every top-level def and class and every method, dunders aside, is
     # public, a test oracle, or named again in the package or the benchmark;
-    # a name counts where it appears as a code token, not in docstrings,
-    # comments or strings; a use of another definition of the same name still
-    # counts, so this catches code nothing names, not every unused one
+    # a name counts where the syntax tree holds it as a name, an attribute, a
+    # definition or an import, so f-string fields count and docstrings,
+    # comments and strings do not; a use of another definition of the same
+    # name still counts, so this catches code nothing names, not every unused one
     root = Path(__file__).resolve().parent.parent
     package = sorted((root / "src" / "gammagenus").glob("*.py"))
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for path in package + sorted((root / "perfbench").glob("*.py"))
+    }
     names = Counter()
-    for path in package + sorted((root / "perfbench").glob("*.py")):
-        with path.open("rb") as f:
-            tokens = tokenize.tokenize(f.readline)
-            names.update(t.string for t in tokens if t.type == tokenize.NAME)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                names[node.attr] += 1
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names[node.name] += 1
+            elif isinstance(node, ast.alias):
+                names.update(filter(None, [*node.name.split("."), node.asname]))
     kept = set(gammagenus.__all__) | ORACLES
     dead = []
     for path in package:
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        for node in trees[path].body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             for d in [node, *members]:
                 if not isinstance(d, (ast.FunctionDef, ast.ClassDef)):

@@ -1,6 +1,12 @@
 from fractions import Fraction
 
-from gammagenus.genus import mzv_expansion, q_genus, q_genus_cy
+from gammagenus.genus import (
+    CyGenusPolynomial,
+    GenusPolynomial,
+    mzv_expansion,
+    q_genus,
+    q_genus_cy,
+)
 from gammagenus.numeric import BoundedValue
 from gammagenus.render import (
     format_bounded,
@@ -10,12 +16,11 @@ from gammagenus.render import (
     format_mzv_args,
     format_mzv_terms,
     format_qsym,
-    format_word,
     format_zeta_poly,
 )
 from gammagenus.symfunc import SymPoly
 from gammagenus.words import QsymPoly, qsym_to_json, stuffle_word_pair
-from gammagenus.zetaring import ZetaPoly, zeta_hom
+from gammagenus.zetaring import MzvTerm, ZetaPoly, zeta_hom
 
 
 def test_format_zeta_poly():
@@ -33,8 +38,8 @@ def test_format_zeta_poly():
 
 
 def test_format_word_and_qsym():
-    assert format_word(()) == "1"
-    assert format_word((2, 6)) == "z_2z_6"
+    assert format_qsym(QsymPoly.from_word(())) == "1"
+    assert format_qsym(QsymPoly.from_word((2, 6))) == "z_2z_6"
     q = stuffle_word_pair((2,), (6,))
     assert format_qsym(q) == "z_2z_6 + z_6z_2 + z_8"
     assert format_qsym(stuffle_word_pair((1,), ())) == "z_1"
@@ -81,7 +86,14 @@ def test_format_cy_genus_lines():
     assert "(ζ(4,2) + ζ(2,4)) c_4c_2" in line6
 
 
+def test_genus_lines_share_one_parenthesis_rule():
+    # a lone negative coefficient is parenthesised in both tables
+    negative = CyGenusPolynomial(2, {(2,): [MzvTerm(-1, (2,))]})
+    assert format_cy_genus_line(negative) == "Q_2[c_1=0] = (-ζ(2)) c_2"
+    gamma = ZetaPoly.generator("gamma")
+    assert format_genus_line(GenusPolynomial(1, {(1,): -gamma})) == "Q_1 = (-γ) c_1"
+
+
 def test_format_bounded():
     bv = BoundedValue(1.6449340668482264, 3.2e-09)
-    assert format_bounded(bv) == "1.64493406685 ± 3.2e-09"
-    assert format_bounded(bv, ascii_mode=True) == "1.64493406685 +/- 3.2e-09"
+    assert format_bounded(bv) == "1.64493406685 +/- 3.2e-09"

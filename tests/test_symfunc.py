@@ -262,6 +262,15 @@ def test_product_routes_through_expansion():
     assert to_basis(prod, "e") == SymPoly.basis_element("e", (2, 1))
 
 
+def test_product_refuses_another_class_before_converting():
+    m2 = SymPoly.basis_element("m", (2,))
+    for other, name in ((ZetaPoly.one(), "ZetaPoly"), (2, "int")):
+        with pytest.raises(TypeError, match=f"cannot combine SymPoly with {name}"):
+            m2 * other
+    # the check is on the class only: mixed-basis products still work
+    assert m2 * SymPoly.basis_element("e", (1,)) == SymPoly("m", {(3,): 1, (2, 1): 1})
+
+
 # class -> (constructor from a terms dict, a key, another spelling of that
 # key, a second key, an operand whose extra state differs, the operations
 # that must reject it)
@@ -317,6 +326,6 @@ def test_linear_combination_contract(name):
     foreign = (ZetaPoly.one(), MzvValue.one(), QsymPoly.from_word((2,)), mismatched, 1)
     for other in foreign:
         if type(other) is not type(a):
-            for op in (add, sub, lambda x, y: x._combine(y, max)):
+            for op in (add, sub, mul, lambda x, y: x._combine(y, max)):
                 with pytest.raises(TypeError):
                     op(a, other)
