@@ -7,6 +7,12 @@ majorants A_j (1 + ln n)^{r_j} built from comparison integrals, the
 outermost tail gets an Euler-Maclaurin estimate with an enveloping
 remainder term, and floating-point accumulation, done in a few fixed
 cache-sized rows whatever the cutoff, is covered by a separate rounding
+allowance.  A cutoff past one block of BLOCK terms lays each block out as
+16 rows of 2048 lanes, 16 consecutive n to a lane, so a running sum is
+vector adds down the rows plus one short running sum across the lanes; a
+sum that fits in one block runs as one row, with one running sum over it.
+Either way each running-sum entry takes at most N additions of nonnegative
+terms (2 * 16 + 2048 + ceil(N / BLOCK) past one block), inside the
 allowance.  Bounds are absolute and intended to be honest, not tight.
 
 gamma and pi enter as stored decimal constants (50 digits).  Taylor
@@ -47,6 +53,8 @@ EPS_OP = 2.0 ** -48
 SUM_EPS = 2.5e-16
 
 BLOCK = 1 << 15
+# Rows of a _dp_sum block when N > BLOCK; each holds BLOCK // _ROWS lanes.
+_ROWS = 16
 
 FIRST_RUNG = 100
 MAX_CUTOFF = 20_000_000
@@ -69,7 +77,11 @@ class CutoffBudgetError(ValueError):
 
 
 class BoundedValue:
-    """A float paired with a rigorous absolute error bound."""
+    """A float paired with a rigorous absolute error bound.
+
+    Both must be finite: an overflowed value or an infinite bound would make
+    agrees_with hold vacuously, so the constructor raises ValueError instead.
+    """
 
     __slots__ = ("value", "bound")
 
@@ -78,6 +90,10 @@ class BoundedValue:
         bound = float(bound)
         if not (bound >= 0.0):
             raise ValueError(f"error bound must be >= 0, got {bound!r}")
+        if not (math.isfinite(value) and math.isfinite(bound)):
+            raise ValueError(
+                f"value and error bound must be finite, got {value!r} and {bound!r}"
+            )
         self.value = value
         self.bound = bound
 
@@ -283,19 +299,35 @@ def _dp_sum(comp, N: int):
     is asserted along the way (monotone convergence in the cutoff).  The
     sum is finite, so s_1 = 1 is valid here: (1,) gives the harmonic H_N.
 
-    Rows of BLOCK doubles are allocated once per call, whatever N is; per
-    element and level it rounds at most four times (power, multiply, running
-    add, carry add) on nonnegative addends, so _slop still covers it.  The
-    power rounding is one correctly rounded division for s <= 2 and within
-    1 ulp for s >= 3 (_power_row), both inside SUM_EPS's allowance.
+    Rows of BLOCK doubles are allocated once per call, whatever N is.  When
+    N > BLOCK each block is laid out as _ROWS = 16 rows of BLOCK // 16 = 2048
+    lanes, lane l holding 16 consecutive n (n[t, l] = lo + 16 l + t), and a
+    level's running sum is built from the lane totals (a sum down the rows),
+    one running sum over the 2048 lane totals plus the carry for row 0, and
+    15 row adds vals[t] = vals[t-1] + level[t-1]: vector adds, not one
+    scalar chain over the block.  The last block keeps ceil(m / 16) lanes and
+    sets n past N to infinity, so its power rows read 0 there.  A sum that
+    fits in one block runs as one row of N lanes, and its lane totals are
+    that row: the same operations, and so the same bits, as one running sum.
+
+    Every running-sum entry is formed with at most 2 * 16 + 2048 +
+    ceil(N / BLOCK) additions of nonnegative terms (down the rows, across
+    the lanes, the carries, along the rows), fewer than N when N > BLOCK,
+    and at most N in one row, so _slop's allowance of N per level still
+    covers it.  The power rounding is one correctly rounded division for
+    s <= 2 and within 1 ulp for s >= 3 (_power_row), both inside SUM_EPS's
+    allowance.
     """
     import numpy as np
 
     k = len(comp)
     size = min(BLOCK, N)
-    n = np.arange(1.0, size + 1.0)
-    power = {s: np.empty(size) for s in set(comp)}
-    vals, terms, csum = np.empty(size), np.empty(size), np.empty(size)
+    rows = _ROWS if N > BLOCK else 1
+    lanes = size // rows
+    n = np.ascontiguousarray(np.arange(1.0, size + 1.0).reshape(lanes, rows).T)
+    power = {s: np.empty((rows, lanes)) for s in set(comp)}
+    vals, terms = np.empty((rows, lanes)), np.empty((rows, lanes))
+    csum = np.empty(lanes)
     partial = 0.0
     carry = {j: 0.0 for j in range(2, k + 1)}
     for lo in range(1, N + 1, size):
@@ -303,16 +335,25 @@ def _dp_sum(comp, N: int):
             n += size
         m = min(size, N - lo + 1)
         if m < size:
-            n, vals, terms, csum = n[:m], vals[:m], terms[:m], csum[:m]
-            power = {s: row[:m] for s, row in power.items()}
+            lanes = -(-m // rows)
+            n, vals, terms = n[:, :lanes], vals[:, :lanes], terms[:, :lanes]
+            csum = csum[:lanes]
+            power = {s: row[:, :lanes] for s, row in power.items()}
+            n[m - rows * (lanes - 1) :, -1] = np.inf
         for s, row in power.items():
             _power_row(n, s, row)
         level = power[comp[-1]]
         for j in range(k, 1, -1):
-            np.add.accumulate(level, out=csum)
-            vals[0] = carry[j]
-            np.add(csum[:-1], carry[j], out=vals[1:])
+            # running sum of the lane totals; a single row is its own totals
+            np.add.accumulate(
+                np.add.reduce(level, axis=0, out=csum) if rows > 1 else level[0],
+                out=csum,
+            )
+            vals[0, 0] = carry[j]
+            np.add(csum[:-1], carry[j], out=vals[0, 1:])
             carry[j] += float(csum[-1])
+            for t in range(1, rows):
+                np.add(vals[t - 1], level[t - 1], out=vals[t])
             level = np.multiply(power[comp[j - 2]], vals, out=terms)
         if not level.min() >= 0.0:
             raise AssertionError("negative summand in a positive series")
@@ -587,6 +628,8 @@ def gamma_recip_coeffs(N: int):
     cached); a failure raises rather than returning unvalidated
     coefficients.
     """
+    if type(N) is not int:
+        raise TypeError(f"N must be an int, got {N!r}")
     if N < 0:
         raise ValueError("N must be >= 0")
     g = _recip_gamma_series(max(N, _WINDOW_DEGREE))

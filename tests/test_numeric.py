@@ -58,6 +58,20 @@ def test_bounded_value_construction():
     assert x.bound == 0.0
 
 
+@pytest.mark.parametrize(
+    "value, bound",
+    [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 1.0), (1.0, math.inf)],
+)
+def test_bounded_value_must_be_finite(value, bound):
+    with pytest.raises(ValueError, match="finite"):
+        BoundedValue(value, bound)
+
+
+def test_overflowed_product_is_refused_not_vacuously_agreeing():
+    with pytest.raises(ValueError, match="finite"):
+        BoundedValue(1e308, 0.0) * BoundedValue(10.0, 0.0)
+
+
 def test_bounded_value_arithmetic_grows_bounds():
     x = BoundedValue(1.0, 1e-10)
     y = BoundedValue(2.0, 1e-12)
@@ -244,7 +258,9 @@ def _nested_sum(comp, N):
         prefix = [0.0, *itertools.accumulate(terms)][:N]
 
 
-@pytest.mark.parametrize("N", [100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 37])
+@pytest.mark.parametrize(
+    "N", [100, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK, 2 * BLOCK + 37]
+)
 @pytest.mark.parametrize(
     "comp", [(2,), (2, 1), (3, 1, 2), (2, 1, 1, 1), (2, 2, 2, 2, 2), (1,)]
 )
@@ -298,7 +314,9 @@ def test_dp_sum_memory_does_not_grow_with_the_cutoff():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4_000_000
+    # six rows of BLOCK doubles (n, two power rows, vals, terms, and one to
+    # spare) plus 64 KB for the lane rows and numpy's small temporaries
+    assert peak < 6 * BLOCK * 8 + 64 * 1024
 
 
 def test_mzv_largest_cutoff_fits_in_1gb():
@@ -568,6 +586,27 @@ def test_every_ladder_decision_is_pinned():
     assert digest.hexdigest() == LADDER_DECISIONS_SHA256
 
 
+# SHA-256 over _dp_sum(comp, N) for the 127 convergent compositions of
+# weight <= 8 at N = 100, 1600 and BLOCK, each line the partial and every
+# carry in float hex.  A sum that fits in one block runs as one row, one
+# running sum over the block, and every pinned stdout digest is built from
+# such sums; any change to their arithmetic moves this.
+ONE_BLOCK_SUMS_SHA256 = (
+    "568fa236db5e9509476470779a1ab4e7f8f9c7c04c8d8c92740942ce4b4b5cda"
+)
+
+
+def test_one_block_sums_are_pinned():
+    digest = hashlib.sha256()
+    for comp in convergent_compositions(8):
+        for N in (100, 1600, BLOCK):
+            partial, carries = _dp_sum(comp, N)
+            values = [partial, *(carries[j] for j in sorted(carries))]
+            line = f"{comp} {N} " + " ".join(map(float.hex, values))
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == ONE_BLOCK_SUMS_SHA256
+
+
 def test_every_refusal_names_a_tolerance_that_certifies():
     for comp in convergent_compositions(12):
         with pytest.raises(CutoffBudgetError) as info:
@@ -700,6 +739,12 @@ def test_gamma_recip_coeffs_leading_terms():
 def test_gamma_recip_coeffs_rejects_bad_degree():
     with pytest.raises(ValueError):
         gamma_recip_coeffs(-1)
+
+
+@pytest.mark.parametrize("N", [True, 2.5, 2.0])
+def test_gamma_recip_coeffs_needs_an_int_degree(N):
+    with pytest.raises(TypeError, match="must be an int"):
+        gamma_recip_coeffs(N)
 
 
 def test_taylor_series_evaluates_near_direct_product():
