@@ -67,46 +67,27 @@ class MultiPoly(LinearCombination):
 
 
 def _orbit_exponent_vectors(lam: Partition, n: int):
-    """All distinct arrangements of the multiset lam padded with 0s to length n."""
-    counts = Counter(list(lam) + [0] * (n - len(lam)))
-    values = sorted(counts, reverse=True)
-    out = []
-    vec = []
+    """All distinct arrangements of the multiset lam padded with 0s to length n.
 
-    def place(remaining):
-        if remaining == 0:
-            out.append(tuple(vec))
-            return
-        for v in values:
-            if counts[v]:
-                counts[v] -= 1
-                vec.append(v)
-                place(remaining - 1)
-                vec.pop()
-                counts[v] += 1
-
-    place(n)
-    return out
-
-
-def _single_factor(basis: str, k: int, n: int) -> MultiPoly:
-    if basis == "e":
-        if k > n:
-            raise ValueError(
-                f"e_{k} collapses to 0 in {n} variables; need n >= {k}"
-            )
-        terms = {}
-        for idx in combinations(range(n), k):
-            vec = [0] * n
-            for i in idx:
-                vec[i] = 1
-            terms[tuple(vec)] = 1
-        return MultiPoly(n, terms)
-    if basis != "p":  # pragma: no cover - internal misuse
-        raise ValueError(f"no single-generator factor in basis {basis!r}")
-    return MultiPoly(
-        n, {tuple(k if j == i else 0 for j in range(n)): 1 for i in range(n)}
-    )
+    They come in descending lexicographic order, by the previous-permutation
+    step (Knuth, TAOCP 4A sec. 7.2.1.2, Algorithm L run downward): take the
+    last i with vec[i] > vec[i+1], swap vec[i] with the rightmost smaller
+    entry and reverse the tail; stop when no such i exists.
+    """
+    vec = sorted(lam, reverse=True) + [0] * (n - len(lam))
+    out = [tuple(vec)]
+    while True:
+        i = n - 2
+        while i >= 0 and vec[i] <= vec[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1
+        while vec[j] >= vec[i]:
+            j -= 1
+        vec[i], vec[j] = vec[j], vec[i]
+        vec[i + 1 :] = vec[:i:-1]
+        out.append(tuple(vec))
 
 
 def _expand_element(basis: str, lam: Partition, n: int) -> MultiPoly:
@@ -117,9 +98,10 @@ def _expand_element(basis: str, lam: Partition, n: int) -> MultiPoly:
                 f"m_{lam} collapses to 0 in {n} variables; need n >= {len(lam)}"
             )
         return MultiPoly(n, {vec: 1 for vec in _orbit_exponent_vectors(lam, n)})
+    # e_k is m_(1^k) and p_k is m_(k)
     out = MultiPoly.one(n)
     for k in lam:
-        out = out * _single_factor(basis, k, n)
+        out = out * _expand_element("m", (1,) * k if basis == "e" else (k,), n)
     return out
 
 
@@ -280,7 +262,8 @@ def _m_in_p(lam: Partition) -> tuple:
 def _row(src: str, dst: str, lam: Partition) -> dict:
     """src_lam in the dst basis, as a map that must not be mutated.
 
-    The m -> e row is _m_in_e's cached dict itself; the other rows are
+    One of src and dst is "m" (to_basis composes e <-> p through m).  The
+    m -> e row is _m_in_e's cached dict itself; the other rows are
     rebuilt from the cached _m_in_p and _coefficient entries.
     """
     if src == "m":
@@ -288,18 +271,9 @@ def _row(src: str, dst: str, lam: Partition) -> dict:
             return _m_in_e(lam)
         r, row = _m_in_p(lam)
         return {mu: exact(Fraction(c, r)) for mu, c in row.items()}
-    row = {}
-    for mu in partitions_of(sum(lam)):
-        c = _coefficient(src, lam, mu)
-        if c:
-            row[mu] = c
-    if dst == "m":
-        return row
-    out: dict = {}
-    for mu, c in row.items():
-        for nu, q in _row("m", dst, mu).items():
-            out[nu] = out.get(nu, 0) + c * q
-    return out
+    return {
+        mu: c for mu in partitions_of(sum(lam)) if (c := _coefficient(src, lam, mu))
+    }
 
 
 def e_to_m_matrix(n: int):
@@ -323,6 +297,8 @@ def to_basis(f: SymPoly, target: str) -> SymPoly:
         raise ValueError(f"basis must be one of {BASES}, got {target!r}")
     if f.basis == target:
         return f
+    if "m" not in (f.basis, target):
+        f = to_basis(f, "m")
     out: dict = {}
     for lam, a in f.terms.items():
         for mu, c in _row(f.basis, target, lam).items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import are_letters, as_partition
+from .partitions import are_letters, as_partition, partitions_of
 from .rationals import LinearCombination, exact, frac_str
 from .symfunc import SymPoly, to_basis
 from .symfunc import _orbit_exponent_vectors
@@ -37,23 +37,15 @@ def word_key(w):
 
 
 def words_of_weight(n: int) -> list:
-    """All words (compositions) of weight n, in descending word order."""
+    """All words (compositions) of weight n, in descending word order: the
+    arrangements of the parts of each partition of n."""
     if n < 0:
         raise ValueError("weight must be >= 0")
-    out = []
-
-    def build(remaining, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for first in range(1, remaining + 1):
-            prefix.append(first)
-            build(remaining - first, prefix)
-            prefix.pop()
-
-    build(n, [])
-    out.sort(key=word_key, reverse=True)
-    return out
+    return sorted(
+        (w for lam in partitions_of(n) for w in _orbit_exponent_vectors(lam, len(lam))),
+        key=word_key,
+        reverse=True,
+    )
 
 
 class QsymPoly(LinearCombination):

@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -18,6 +19,7 @@ from gammagenus import cli
 
 
 GOLDENS = Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _sha256(text):
@@ -327,6 +329,42 @@ def test_stdout_matches_digest(name):
     res = run_cli(*args)
     assert res.returncode == 0, res.stderr
     assert _sha256(res.stdout) == digest
+
+
+def _readme_examples():
+    """(command, shown lines) for each README block that starts "$ gammagenus".
+
+    A "..." line ends what the block shows; a block without one shows the
+    whole output.
+    """
+    examples = []
+    for block in README.read_text(encoding="utf-8").split("```")[1::2]:
+        first, *shown = block.strip("\n").splitlines()
+        if first.startswith("$ gammagenus "):
+            examples.append((first.removeprefix("$ gammagenus "), shown))
+    return examples
+
+
+README_EXAMPLES = _readme_examples()
+
+
+def test_readme_has_its_examples():
+    assert [cmd.split()[0] for cmd, _ in README_EXAMPLES] == [
+        "qgenus", "qgenus", "mzv", "stuffle"
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, shown", README_EXAMPLES, ids=[cmd for cmd, _ in README_EXAMPLES]
+)
+def test_readme_example_output(command, shown):
+    res = run_cli(*shlex.split(command))
+    assert res.returncode == 0, res.stderr
+    got = res.stdout.splitlines()
+    if "..." in shown:
+        shown = shown[: shown.index("...")]
+        got = got[: len(shown)]
+    assert got == shown
 
 
 def test_crash_has_its_own_exit_code(monkeypatch, capsys):

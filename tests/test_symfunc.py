@@ -10,6 +10,7 @@ combinations (QsymPoly, ZetaPoly, MzvValue, MultiPoly) is checked here too.
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 from math import prod
 from operator import add, mul, sub
 
@@ -76,6 +77,16 @@ def test_expansion_rejects_degenerate_variable_count():
         expand_in_vars(SymPoly.basis_element("e", (3,)), 2)
     with pytest.raises(ValueError):
         expand_in_vars(SymPoly.basis_element("m", (1, 1, 1)), 2)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_orbit_vectors_match_brute_force_permutations(n):
+    # the --cy tables list arrangements in this order, so pin it, not just the set
+    for lam in partitions_of(n):
+        for nvars in (len(lam), len(lam) + 2):
+            padded = lam + (0,) * (nvars - len(lam))
+            want = sorted(set(permutations(padded)), reverse=True)
+            assert _orbit_exponent_vectors(lam, nvars) == want, (lam, nvars)
 
 
 def test_collect_symmetric_rejects_asymmetric_input():

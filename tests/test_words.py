@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,18 @@ def test_words_of_weight():
     assert words_of_weight(2) == [(1, 1), (2,)]
     assert words_of_weight(3) == [(1, 1, 1), (1, 2), (2, 1), (3,)]
     assert len(words_of_weight(7)) == 64
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_words_of_weight_matches_cut_point_compositions(n):
+    # a composition of n is a subset of the n - 1 cut points between n ones
+    want = []
+    for k in range(n):
+        for cuts in combinations(range(1, n), k):
+            ends = (0,) + cuts + (n,)
+            want.append(tuple(b - a for a, b in zip(ends, ends[1:])))
+    assert len(want) == 2 ** (n - 1)
+    assert words_of_weight(n) == sorted(want, key=word_key, reverse=True)
 
 
 def test_empty_word_is_the_unit():
