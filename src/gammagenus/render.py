@@ -7,6 +7,8 @@ spellings in for scripts that cannot take UTF-8.
 from __future__ import annotations
 
 from collections import Counter
+from decimal import ROUND_CEILING, Context
+from fractions import Fraction
 
 from .zetaring import GAMMA, PI2, ZetaPoly, generator_weight, mzv_label
 
@@ -95,4 +97,12 @@ def format_cy_genus_line(gp, ascii_mode: bool = False) -> str:
 
 
 def format_bounded(bv) -> str:
-    return f"{bv.value:.12g} +/- {bv.bound:.3g}"
+    """bv as "value +/- bound", an interval holding [value - bound, value + bound].
+
+    The value prints as its repr.  The bound grows by the exact distance from
+    those digits to the float and is rounded up to 3 significant digits.
+    """
+    shown = repr(bv.value)
+    err = Fraction(bv.bound) + abs(Fraction(shown) - Fraction(bv.value))
+    up = Context(prec=3, rounding=ROUND_CEILING).divide(err.numerator, err.denominator)
+    return f"{shown} +/- {float(up):.3g}"

@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import gammagenus
@@ -302,7 +303,7 @@ STDOUT_SHA256 = {
     ),
     "mzv-62": (
         ("mzv", "--args", "6,2", "--tol", "1e-8"),
-        "f9ebfd9ee14b40e69f35a5c77b058d467a887150ca92c5c96c388fea10c639eb",
+        "71c85594c0c6b3cde59ff899e15f1ecf346deca5b3d9b94f8f6f154235d97285",
     ),
     "mzv-62-json": (
         ("mzv", "--args", "6,2", "--tol", "1e-8", "--format", "json"),
@@ -310,7 +311,7 @@ STDOUT_SHA256 = {
     ),
     "verify-all-json": (
         ("verify", "--suite", "all", "--format", "json"),
-        "eb5ed2e22b848cc47956f4da3322aee62109aa906af714e7db5b790f3435e60e",
+        "343202b3ec53a28e67c186df8a09cd74073ad14a5d125b6cd36dc861ecd4504f",
     ),
     "stuffle-213-31": (
         ("stuffle", "--left", "2,1,3", "--right", "3,1"),
@@ -410,6 +411,22 @@ def test_mzv_text():
     assert res.returncode == 0
     assert res.stdout.startswith("zeta(2) = 1.6449340")
     assert "+/-" in res.stdout
+
+
+def test_mzv_printed_interval_holds_the_true_value(capsys):
+    # the printed digits, not the float behind them, are what a reader gets
+    misses = []
+    with mpmath.workdps(40):
+        for k in range(2, 13):
+            true = mpmath.zeta(k)
+            for tol in ("1e-8", "1e-9", "1e-10", "1e-11", "1e-12"):
+                assert cli.main(["mzv", "--args", str(k), "--tol", tol]) == cli.EXIT_OK
+                line = capsys.readouterr().out.strip()
+                value, bound = line.split(" = ")[1].split(" +/- ")
+                if abs(mpmath.mpf(value) - true) > mpmath.mpf(bound):
+                    misses.append(line)
+                assert float(bound) <= float(tol), line
+    assert misses == []
 
 
 def test_mzv_json():

@@ -96,4 +96,12 @@ def test_genus_lines_share_one_parenthesis_rule():
 
 def test_format_bounded():
     bv = BoundedValue(1.6449340668482264, 3.2e-09)
-    assert format_bounded(bv) == "1.64493406685 +/- 3.2e-09"
+    # the float's repr, and its bound rounded up past 3.2e-09 plus the
+    # distance from those digits to the float
+    assert format_bounded(bv) == "1.6449340668482264 +/- 3.21e-09"
+    # the printed interval holds [value - bound, value + bound], also when
+    # the bound is far below the value's 12th digit
+    for value, bound in ((0.1, 0.0), (1.6449340668482264, 3e-17), (-2.0 / 3, 1e-300)):
+        shown, printed = format_bounded(BoundedValue(value, bound)).split(" +/- ")
+        gap = abs(Fraction(shown) - Fraction(value)) + Fraction(bound)
+        assert gap <= Fraction(printed)

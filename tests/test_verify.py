@@ -126,7 +126,11 @@ def test_failed_checks_report_expected_actual_and_bound(monkeypatch, capsys):
         verify, "CHECKS", checks + (("numeric", "num.crash", "always raises", crash),)
     )
     pairs = "[((1,), (2,)), ((1,), (1, 2)), ((1,), (2, 1))]"
-    zeta22 = ("1.62348485057 +/- 3.64e-14", "0.811742425446 +/- 2.15e-07", "2.15e-07")
+    zeta22 = (
+        "1.6234848505667072 +/- 3.65e-14",
+        "0.8117424254460314 +/- 2.15e-07",
+        "2.15e-07",
+    )
     records = [
         (c.id, c.status, c.expected, c.actual, c.bound)
         for c in run_suite("all").checks
