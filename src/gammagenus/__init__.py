@@ -19,10 +19,10 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "partitions": "Partition partitions_of sort_key weight",
     "symfunc": "MultiPoly SymPoly e_to_m_matrix expand_in_vars to_basis",
-    "words": "QsymPoly Word is_lyndon lyndon_decompose lyndon_factorize "
-    "lyndon_recompose lyndon_words stuffle sym_to_words words_of_weight",
-    "zetaring": "MzvTerm MzvValue ZetaPoly bernoulli stuffle_reduce zeta_even "
-    "zeta_gen zeta_hom zeta_word",
+    "words": "MzvValue QsymPoly Word is_lyndon lyndon_decompose lyndon_factorize "
+    "lyndon_recompose lyndon_words stuffle stuffle_reduce sym_to_words "
+    "words_of_weight zeta_word",
+    "zetaring": "MzvTerm ZetaPoly bernoulli zeta_even zeta_gen zeta_hom",
     "numeric": "BoundedValue CutoffBudgetError DivergentMzvError eval_mzv_terms "
     "eval_qsym eval_zeta_poly gamma_recip_coeffs generator_values mzv mzv_info",
     "genus": "CyGenusPolynomial GenusPolynomial mzv_expansion q_genus q_genus_cy "

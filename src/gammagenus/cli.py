@@ -102,7 +102,7 @@ def cmd_qgenus(opts) -> int:
         q_genus,
         q_genus_cy,
     )
-    from .render import format_cy_genus_line, format_genus_line
+    from .render import ASCII, format_cy_genus_line, format_genus_line
 
     if opts.cy:
         lo, genus, to_json, line = 2, q_genus_cy, cy_genus_to_json, format_cy_genus_line
@@ -128,13 +128,15 @@ def cmd_qgenus(opts) -> int:
         sys.stdout.write("\n]\n")
         return EXIT_OK
     for i in range(lo, opts.max + 1):
-        print(line(genus(i), ascii_mode=opts.ascii))
+        text = line(genus(i))
+        print(text.translate(ASCII) if opts.ascii else text)
     return EXIT_OK
 
 
 def cmd_mzv(opts) -> int:
     from .numeric import CutoffBudgetError, DivergentMzvError, mzv
-    from .render import format_bounded, format_mzv_args
+    from .render import format_bounded
+    from .zetaring import mzv_label
 
     try:
         comp = _parse_word(opts.args)
@@ -158,8 +160,7 @@ def cmd_mzv(opts) -> int:
     if opts.format == "json":
         _print_json(value.to_json())
     else:
-        label = format_mzv_args(comp, ascii_mode=True)
-        print(f"{label} = {format_bounded(value)}")
+        print(f"{mzv_label(comp)} = {format_bounded(value)}")
     return EXIT_OK
 
 

@@ -1,7 +1,8 @@
 """Plain-text rendering of ring elements, words and genus tables.
 
-Unicode glyphs by default; the ascii flag swaps gamma, pi^2 and zeta(k)
-spellings in for scripts that cannot take UTF-8.
+Every symbol is spelled with its glyph (γ, π, ζ).  ASCII is the one
+str.translate table that spells them gamma, pi and zeta instead, for
+scripts that cannot take UTF-8.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from decimal import ROUND_CEILING, Context
 from fractions import Fraction
 
 from .zetaring import GAMMA, PI2, ZetaPoly, generator_weight, mzv_label
+
+ASCII = str.maketrans({"γ": "gamma", "π": "pi", "ζ": "zeta"})
 
 
 def _signed_sum(terms) -> str:
@@ -35,21 +38,16 @@ def _signed_sum(terms) -> str:
     return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
-def _generator_text(name: str, power: int, ascii_mode: bool) -> str:
-    if name == GAMMA:
-        head = "gamma" if ascii_mode else "γ"
-        return head if power == 1 else f"{head}^{power}"
+def _generator_text(name: str, power: int) -> str:
     if name == PI2:
-        head = "pi" if ascii_mode else "π"
-        return f"{head}^{2 * power}"
-    k = generator_weight(name)
-    head = f"zeta({k})" if ascii_mode else f"ζ({k})"
+        return f"π^{2 * power}"
+    head = "γ" if name == GAMMA else f"ζ({generator_weight(name)})"
     return head if power == 1 else f"{head}^{power}"
 
 
-def format_zeta_poly(p: ZetaPoly, ascii_mode: bool = False) -> str:
+def format_zeta_poly(p: ZetaPoly) -> str:
     return _signed_sum(
-        (c, " ".join(_generator_text(n, e, ascii_mode) for n, e in mono))
+        (c, " ".join(_generator_text(n, e) for n, e in mono))
         for mono, c in p.sorted_terms()
     )
 
@@ -67,20 +65,16 @@ def format_c_monomial(lam) -> str:
     )
 
 
-def format_mzv_args(args, ascii_mode: bool = False) -> str:
-    return mzv_label(args, "zeta" if ascii_mode else "ζ")
+def format_mzv_terms(terms) -> str:
+    return _signed_sum((t.coeff, mzv_label(t.args, "ζ")) for t in terms)
 
 
-def format_mzv_terms(terms, ascii_mode: bool = False) -> str:
-    return _signed_sum((t.coeff, format_mzv_args(t.args, ascii_mode)) for t in terms)
-
-
-def _genus_line(head: str, gp, fmt, ascii_mode: bool) -> str:
+def _genus_line(head: str, gp, fmt) -> str:
     """Join the "coefficient c_lambda" pieces after "head = ", bracketing a
     coefficient of more than one term or with a leading minus sign."""
     parts = []
     for lam, coeff in gp.sorted_terms():
-        body = fmt(coeff, ascii_mode)
+        body = fmt(coeff)
         terms = coeff.terms if isinstance(coeff, ZetaPoly) else coeff
         if len(terms) > 1 or body.startswith("-"):
             body = f"({body})"
@@ -88,12 +82,12 @@ def _genus_line(head: str, gp, fmt, ascii_mode: bool) -> str:
     return f"{head} = " + " + ".join(parts)
 
 
-def format_genus_line(gp, ascii_mode: bool = False) -> str:
-    return _genus_line(f"Q_{gp.degree}", gp, format_zeta_poly, ascii_mode)
+def format_genus_line(gp) -> str:
+    return _genus_line(f"Q_{gp.degree}", gp, format_zeta_poly)
 
 
-def format_cy_genus_line(gp, ascii_mode: bool = False) -> str:
-    return _genus_line(f"Q_{gp.degree}[c_1=0]", gp, format_mzv_terms, ascii_mode)
+def format_cy_genus_line(gp) -> str:
+    return _genus_line(f"Q_{gp.degree}[c_1=0]", gp, format_mzv_terms)
 
 
 def format_bounded(bv) -> str:

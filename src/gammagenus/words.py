@@ -9,6 +9,11 @@ what lyndon_decompose exploits.  A QsymPoly is a rational linear
 combination of words (a rationals.LinearCombination) whose product is the
 stuffle; its structure constants are integers (Hoffman, Quasi-shuffle
 products, 2000), so coefficients stay ints until lyndon_decompose divides.
+
+zeta_word is the word route into the coefficient ring: it sends z_1 to
+gamma and every other Lyndon factor to its multiple zeta symbol, in an
+MzvValue, and stuffle_reduce rewrites a value of depth <= 2 in the ring
+through the identities the stuffle forces.
 """
 
 from __future__ import annotations
@@ -18,8 +23,8 @@ from functools import lru_cache
 
 from .partitions import are_letters, as_partition, partitions_of
 from .rationals import LinearCombination, exact, frac_str
-from .symfunc import SymPoly, to_basis
-from .symfunc import _orbit_exponent_vectors
+from .symfunc import SymPoly, _orbit_exponent_vectors, to_basis
+from .zetaring import GAMMA, ZetaPoly, check_convergent_composition, zeta_gen
 
 Word = tuple
 
@@ -197,6 +202,121 @@ def lyndon_recompose(decomposition: dict) -> QsymPoly:
     acc = QsymPoly.zero()
     for mono, c in decomposition.items():
         acc = acc + stuffle_power_product(mono).scaled(c)
+    return acc
+
+
+# --- multiple zeta values of words --------------------------------------------
+
+
+class MzvValue(LinearCombination):
+    """Polynomial in unevaluated MZV symbols with ZetaPoly coefficients.
+
+    Keys are sorted tuples of convergent compositions (commuting atoms); the
+    empty key carries the pure ring part.  This is the closure of what the
+    Lyndon-multiplicative evaluation of words can produce: z_1 contributes
+    gamma to the ring part, every other Lyndon factor contributes an atom.
+    """
+
+    __slots__ = ()
+
+    @staticmethod
+    def _key(atoms) -> tuple:
+        return tuple(sorted(check_convergent_composition(a) for a in atoms))
+
+    @staticmethod
+    def _coeff(c) -> ZetaPoly:
+        return c if isinstance(c, ZetaPoly) else ZetaPoly.constant(c)
+
+    @classmethod
+    def from_ring(cls, poly: ZetaPoly) -> "MzvValue":
+        return cls({(): poly})
+
+    @classmethod
+    def one(cls) -> "MzvValue":
+        return cls.from_ring(ZetaPoly.one())
+
+    @classmethod
+    def from_atom(cls, composition) -> "MzvValue":
+        return cls({(tuple(composition),): ZetaPoly.one()})
+
+    def __mul__(self, other: "MzvValue") -> "MzvValue":
+        return self._combine(other, lambda a1, a2: tuple(sorted(a1 + a2)))
+
+    def zeta_part(self) -> ZetaPoly:
+        """The coefficient of the empty atom monomial (the pure ring part)."""
+        return self.terms.get((), ZetaPoly.zero())
+
+
+def zeta_word(w) -> MzvValue:
+    """Evaluate a word through the Lyndon-multiplicative extension.
+
+    A convergent word (first letter subscript >= 2) is a single MZV symbol
+    with coefficient 1.  Otherwise the word is rewritten as a polynomial in
+    Lyndon generators; z_1 evaluates to gamma and any other Lyndon factor to
+    its MZV symbol, with distinct symbols kept as independent commuting
+    atoms.
+    """
+    word = check_word(w)
+    if not word:
+        return MzvValue.one()
+    if word[0] >= 2:
+        return MzvValue.from_atom(word)
+    decomposition = lyndon_decompose(QsymPoly.from_word(word))
+    acc = MzvValue.zero()
+    for factors, c in decomposition.items():
+        term = MzvValue.one().scaled(c)
+        for factor in factors:
+            if factor == (1,):
+                term = term * MzvValue.from_ring(ZetaPoly.generator(GAMMA))
+            else:
+                term = term * MzvValue.from_atom(factor)
+        acc = acc + term
+    return acc
+
+
+def zeta_word_poly(q) -> MzvValue:
+    """Linear extension of zeta_word to word polynomials (QsymPoly)."""
+    acc = MzvValue.zero()
+    for w, c in q.terms.items():
+        acc = acc + zeta_word(w).scaled(c)
+    return acc
+
+
+def stuffle_reduce(value: MzvValue) -> ZetaPoly:
+    """Rewrite a depth <= 2 MzvValue in the ring, using only forced identities.
+
+    Single symbols zeta(k) are ring elements outright.  A depth-2 symbol is
+    only reducible when stuffle forces it: zeta(a,a) = (zeta(a)^2 -
+    zeta(2a))/2, and a symmetric pair zeta(a,b) + zeta(b,a) with equal
+    coefficients collapses to zeta(a) zeta(b) - zeta(a+b).  Anything beyond
+    that raises, because no honest reduction exists at this level.
+    """
+    acc = value.zeta_part()
+    pending: dict = {}
+    for atoms, poly in value.terms.items():
+        if not atoms:
+            continue
+        if len(atoms) > 1:
+            raise ValueError(f"no forced reduction for symbol products: {atoms}")
+        comp = atoms[0]
+        if len(comp) == 1:
+            acc = acc + poly * zeta_gen(comp[0])
+        elif len(comp) == 2:
+            pending[comp] = poly
+        else:
+            raise ValueError(f"no forced reduction at depth {len(comp)}: {comp}")
+    while pending:
+        a, b = next(iter(pending))
+        poly = pending.pop((a, b))
+        # zeta(a,a) is its own partner, so it stands for half the pair
+        if a == b:
+            poly = poly.scaled(Fraction(1, 2))
+        elif pending.pop((b, a), None) != poly:
+            raise ValueError(
+                f"zeta({a},{b}) lacks a matching zeta({b},{a}) term; "
+                "the stuffle identity does not apply"
+            )
+        acc = acc + poly * (zeta_gen(a) * zeta_gen(b) - zeta_gen(a + b))
     return acc
 
 

@@ -16,10 +16,9 @@ monomial times an int over a denominator shared by its weight (cached per
 weight), and each m_lambda from its integer Mobius row in the p basis, so
 every coefficient is summed in ints and divided by prod mult_i! and that
 denominator once; under zeta_hom that row is Hoffman's symmetric-sum
-theorem (Multiple harmonic series, 1992).  zeta_word extends it to the
-word algebra through the Lyndon factorization; its values live in MzvValue,
-polynomials in unevaluated multiple-zeta symbols with ZetaPoly coefficients,
-the same linear-combination storage keyed by sorted tuples of atoms.
+theorem (Multiple harmonic series, 1992).  The multiple zeta symbols here
+(MzvTerm) are what the genus tables print once c_1 = 0; the word route to
+the same ring values lives in words, which imports this module.
 """
 
 from __future__ import annotations
@@ -269,134 +268,6 @@ class MzvTerm:
 
     def to_json(self) -> dict:
         return {"args": list(self.args), "coeff": frac_str(self.coeff)}
-
-
-class MzvValue(LinearCombination):
-    """Polynomial in unevaluated MZV symbols with ZetaPoly coefficients.
-
-    Keys are sorted tuples of convergent compositions (commuting atoms); the
-    empty key carries the pure ring part.  This is the closure of what the
-    Lyndon-multiplicative evaluation of words can produce: z_1 contributes
-    gamma to the ring part, every other Lyndon factor contributes an atom.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def _key(atoms) -> tuple:
-        return tuple(sorted(check_convergent_composition(a) for a in atoms))
-
-    @staticmethod
-    def _coeff(c) -> ZetaPoly:
-        return c if isinstance(c, ZetaPoly) else ZetaPoly.constant(c)
-
-    @classmethod
-    def from_ring(cls, poly: ZetaPoly) -> "MzvValue":
-        return cls({(): poly})
-
-    @classmethod
-    def one(cls) -> "MzvValue":
-        return cls.from_ring(ZetaPoly.one())
-
-    @classmethod
-    def from_atom(cls, composition) -> "MzvValue":
-        return cls({(tuple(composition),): ZetaPoly.one()})
-
-    def __mul__(self, other: "MzvValue") -> "MzvValue":
-        return self._combine(other, lambda a1, a2: tuple(sorted(a1 + a2)))
-
-    def zeta_part(self) -> ZetaPoly:
-        """The coefficient of the empty atom monomial (the pure ring part)."""
-        return self.terms.get((), ZetaPoly.zero())
-
-
-def zeta_word(w) -> MzvValue:
-    """Evaluate a word through the Lyndon-multiplicative extension.
-
-    A convergent word (first letter subscript >= 2) is a single MZV symbol
-    with coefficient 1.  Otherwise the word is rewritten as a polynomial in
-    Lyndon generators; z_1 evaluates to gamma and any other Lyndon factor to
-    its MZV symbol, with distinct symbols kept as independent commuting
-    atoms.
-    """
-    from .words import QsymPoly, check_word, lyndon_decompose
-
-    word = check_word(w)
-    if not word:
-        return MzvValue.one()
-    if word[0] >= 2:
-        return MzvValue.from_atom(word)
-    decomposition = lyndon_decompose(QsymPoly.from_word(word))
-    acc = MzvValue.zero()
-    for factors, c in decomposition.items():
-        term = MzvValue.one().scaled(c)
-        for factor in factors:
-            if factor == (1,):
-                term = term * MzvValue.from_ring(ZetaPoly.generator(GAMMA))
-            else:
-                term = term * MzvValue.from_atom(factor)
-        acc = acc + term
-    return acc
-
-
-def zeta_word_poly(q) -> MzvValue:
-    """Linear extension of zeta_word to word polynomials (words.QsymPoly)."""
-    acc = MzvValue.zero()
-    for w, c in q.terms.items():
-        acc = acc + zeta_word(w).scaled(c)
-    return acc
-
-
-def stuffle_reduce(value: MzvValue) -> ZetaPoly:
-    """Rewrite a depth <= 2 MzvValue in the ring, using only forced identities.
-
-    Single symbols zeta(k) are ring elements outright.  A depth-2 symbol is
-    only reducible when stuffle forces it: zeta(a,a) = (zeta(a)^2 -
-    zeta(2a))/2, and a symmetric pair zeta(a,b) + zeta(b,a) with equal
-    coefficients collapses to zeta(a) zeta(b) - zeta(a+b).  Anything beyond
-    that raises, because no honest reduction exists at this level.
-    """
-    acc = value.zeta_part()
-    pending: dict = {}
-    for atoms, poly in value.terms.items():
-        if not atoms:
-            continue
-        if len(atoms) > 1:
-            raise ValueError(f"no forced reduction for symbol products: {atoms}")
-        comp = atoms[0]
-        if len(comp) == 1:
-            acc = acc + poly * zeta_gen(comp[0])
-        elif len(comp) == 2:
-            pending[comp] = poly
-        else:
-            raise ValueError(f"no forced reduction at depth {len(comp)}: {comp}")
-    while pending:
-        a, b = next(iter(pending))
-        poly = pending.pop((a, b))
-        # zeta(a,a) is its own partner, so it stands for half the pair
-        if a == b:
-            poly = poly.scaled(Fraction(1, 2))
-        elif pending.pop((b, a), None) != poly:
-            raise ValueError(
-                f"zeta({a},{b}) lacks a matching zeta({b},{a}) term; "
-                "the stuffle identity does not apply"
-            )
-        acc = acc + poly * (zeta_gen(a) * zeta_gen(b) - zeta_gen(a + b))
-    return acc
-
-
-def path_independence_pairs(f: SymPoly):
-    """Both routes from a symmetric function into the ring.
-
-    Returns (via p-basis homomorphism, via words and forced reduction); the
-    two must agree whenever the reduction is forced, e.g. for m_lam with no
-    unit parts and at most two parts.
-    """
-    from .words import sym_to_words
-
-    direct = zeta_hom(f)
-    through_words = stuffle_reduce(zeta_word_poly(sym_to_words(f)))
-    return direct, through_words
 
 
 # --- JSON ---------------------------------------------------------------------

@@ -256,6 +256,29 @@ def test_every_definition_is_used():
     assert dead == []
 
 
+def test_no_package_import_inside_a_function():
+    # the module headers are the whole import graph, so it stays acyclic in
+    # plain sight; only cli.py imports inside functions, each command what it
+    # runs, and third-party imports such as numpy's are not counted
+    hidden = set()
+    for path in sorted(Path(gammagenus.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.ImportFrom):
+                    heads = [node.module or ""] if not node.level else ["gammagenus"]
+                elif isinstance(node, ast.Import):
+                    heads = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(h.split(".")[0] == "gammagenus" for h in heads):
+                    hidden.add(f"{path.name}:{func.name}")
+    assert sorted(hidden) == []
+
+
 GOLDEN_COMMANDS = {
     "qgenus-10": ("qgenus", "--max", "10"),
     "verify-all": ("verify", "--suite", "all"),
@@ -292,6 +315,10 @@ STDOUT_SHA256 = {
     "qgenus-10-ascii": (
         ("qgenus", "--max", "10", "--ascii"),
         "67742dbfadcab08d8d6da2fad9db17b86ff79460a0620f59910670893caed059",
+    ),
+    "qgenus-10-cy-ascii": (
+        ("qgenus", "--max", "10", "--cy", "--ascii"),
+        "fbceb992bf167c685d25381e326228e9821480568864ef85599b3da8bceaf1c3",
     ),
     "qgenus-10-cy": (
         ("qgenus", "--max", "10", "--cy"),

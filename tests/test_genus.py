@@ -114,6 +114,38 @@ def test_q_genus_matches_generating_product_exactly(i):
         ), t
 
 
+_ZETA_OF_M = {(): ZetaPoly.one()}
+
+
+def _zeta_of_m(lam):
+    """zeta(m_lam) by the product rule, in ring arithmetic only.
+
+    With lam = mu + {k}, p_k m_mu = r m_lam + sum_v c_v m_(mu, v -> v + k):
+    r is the multiplicity of k in lam, v runs over the distinct parts of mu
+    and c_v is the multiplicity of v + k in the raised partition.  zeta sends
+    p_1 to gamma and p_k to zeta(k); a raised partition has fewer parts than
+    lam, so the recursion ends at m_() = 1.
+    """
+    if lam not in _ZETA_OF_M:
+        k, mu = lam[-1], lam[:-1]
+        acc = (GAMMA_GEN if k == 1 else zeta_gen(k)) * _zeta_of_m(mu)
+        for v in set(mu):
+            rest = list(mu)
+            rest.remove(v)
+            raised = tuple(sorted(rest + [v + k], reverse=True))
+            acc = acc - _zeta_of_m(raised).scaled(raised.count(v + k))
+        _ZETA_OF_M[lam] = acc.scaled(Fraction(1, lam.count(k)))
+    return _ZETA_OF_M[lam]
+
+
+@pytest.mark.parametrize("i", range(1, DEGREE_BUDGET + 1))
+def test_q_genus_matches_the_product_rule_recurrence(i):
+    # a second exact oracle: the coefficient of c_lam is zeta(m_lam), here
+    # built from p_k m_mu without the p-basis rows zeta_hom reads
+    for lam, c in q_genus(i).coeffs.items():
+        assert c == _zeta_of_m(lam), lam
+
+
 # Calabi-Yau complete intersections X in P^n of degrees d_a (sum d_a = n + 1)
 # and the integral of Q_dim over X.  Their Gamma-factor is
 # prod_a Gamma(1 + d_a H) / Gamma(1 + H)^(n+1): n + 1 Chern roots H and a

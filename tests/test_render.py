@@ -9,24 +9,24 @@ from gammagenus.genus import (
 )
 from gammagenus.numeric import BoundedValue
 from gammagenus.render import (
+    ASCII,
     format_bounded,
     format_c_monomial,
     format_cy_genus_line,
     format_genus_line,
-    format_mzv_args,
     format_mzv_terms,
     format_qsym,
     format_zeta_poly,
 )
 from gammagenus.symfunc import SymPoly
 from gammagenus.words import QsymPoly, qsym_to_json, stuffle_word_pair
-from gammagenus.zetaring import MzvTerm, ZetaPoly, zeta_hom
+from gammagenus.zetaring import MzvTerm, ZetaPoly, mzv_label, zeta_hom
 
 
 def test_format_zeta_poly():
     p = zeta_hom(SymPoly.basis_element("e", (2,)))
     assert format_zeta_poly(p) == "1/2 γ^2 - 1/12 π^2"
-    assert format_zeta_poly(p, ascii_mode=True) == "1/2 gamma^2 - 1/12 pi^2"
+    assert format_zeta_poly(p).translate(ASCII) == "1/2 gamma^2 - 1/12 pi^2"
     assert format_zeta_poly(ZetaPoly.zero()) == "0"
     assert format_zeta_poly(ZetaPoly.constant(Fraction(3, 4))) == "3/4"
     assert format_zeta_poly(ZetaPoly.constant(3)) == "3"
@@ -65,15 +65,15 @@ def test_format_c_monomial():
 
 
 def test_format_mzv():
-    assert format_mzv_args((6, 2)) == "ζ(6,2)"
-    assert format_mzv_args((6, 2), ascii_mode=True) == "zeta(6,2)"
+    assert mzv_label((6, 2), "ζ") == "ζ(6,2)"
+    assert mzv_label((6, 2)) == "zeta(6,2)"
     terms = mzv_expansion((6, 2))
     assert format_mzv_terms(terms) == "ζ(6,2) + ζ(2,6)"
 
 
 def test_format_genus_lines():
     assert format_genus_line(q_genus(1)) == "Q_1 = γ c_1"
-    assert format_genus_line(q_genus(1), ascii_mode=True) == "Q_1 = gamma c_1"
+    assert format_genus_line(q_genus(1)).translate(ASCII) == "Q_1 = gamma c_1"
     line2 = format_genus_line(q_genus(2))
     assert line2 == "Q_2 = 1/6 π^2 c_2 + (1/2 γ^2 - 1/12 π^2) c_1^2"
 

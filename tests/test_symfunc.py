@@ -29,8 +29,8 @@ from gammagenus.symfunc import (
     expand_in_vars,
     to_basis,
 )
-from gammagenus.words import QsymPoly
-from gammagenus.zetaring import MzvValue, ZetaPoly
+from gammagenus.words import MzvValue, QsymPoly
+from gammagenus.zetaring import ZetaPoly
 
 
 def test_multipoly_arithmetic():

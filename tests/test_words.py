@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gammagenus.symfunc import SymPoly
 from gammagenus.words import (
+    MzvValue,
     QsymPoly,
     is_lyndon,
     lyndon_decompose,
@@ -22,7 +23,7 @@ from gammagenus.words import (
     word_key,
     words_of_weight,
 )
-from gammagenus.zetaring import MzvValue, ZetaPoly
+from gammagenus.zetaring import ZetaPoly
 
 words = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple)
 small_words = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple)
