@@ -90,13 +90,19 @@ def format_cy_genus_line(gp) -> str:
     return _genus_line(f"Q_{gp.degree}[c_1=0]", gp, format_mzv_terms)
 
 
+def format_bound(err) -> str:
+    """err, read exactly, rounded up to 3 significant digits and spelled .3g."""
+    err = Fraction(err)
+    up = Context(prec=3, rounding=ROUND_CEILING).divide(err.numerator, err.denominator)
+    return f"{float(up):.3g}"
+
+
 def format_bounded(bv) -> str:
     """bv as "value +/- bound", an interval holding [value - bound, value + bound].
 
     The value prints as its repr.  The bound grows by the exact distance from
-    those digits to the float and is rounded up to 3 significant digits.
+    those digits to the float and is rounded up by format_bound.
     """
     shown = repr(bv.value)
     err = Fraction(bv.bound) + abs(Fraction(shown) - Fraction(bv.value))
-    up = Context(prec=3, rounding=ROUND_CEILING).divide(err.numerator, err.denominator)
-    return f"{shown} +/- {float(up):.3g}"
+    return f"{shown} +/- {format_bound(err)}"

@@ -38,7 +38,7 @@ from .numeric import (
     zeta_tail_estimate,
 )
 from .partitions import partitions_of
-from .render import format_bounded, format_qsym, format_zeta_poly
+from .render import format_bound, format_bounded, format_qsym, format_zeta_poly
 from .symfunc import SymPoly, e_to_m_matrix
 from .words import (
     QsymPoly,
@@ -115,7 +115,7 @@ def _agree(got, want):
         abs(got.value - want.value) <= allowed,
         format_bounded(want),
         format_bounded(got),
-        f"{allowed:.3g}",
+        format_bound(allowed),
     )
 
 

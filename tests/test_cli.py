@@ -338,7 +338,7 @@ STDOUT_SHA256 = {
     ),
     "verify-all-json": (
         ("verify", "--suite", "all", "--format", "json"),
-        "343202b3ec53a28e67c186df8a09cd74073ad14a5d125b6cd36dc861ecd4504f",
+        "0e39f293409b28bfb288df701c398ad0d3cb8ba294121804fe65da95dec04f56",
     ),
     "stuffle-213-31": (
         ("stuffle", "--left", "2,1,3", "--right", "3,1"),

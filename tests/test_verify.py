@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -104,6 +105,24 @@ def test_constant_checks_sum_in_fixed_memory(name):
         tracemalloc.stop()
     assert ok
     assert peak < 4_000_000
+
+
+@pytest.mark.parametrize("check_id", ["num.zeta2", "num.zeta22", "num.zeta62"])
+def test_printed_bound_holds_the_summed_bounds(monkeypatch, check_id):
+    # the bound a numeric check prints is at least the allowance it compared
+    # against, the two values' summed bounds, read exactly
+    allowed = []
+    real_agree = verify._agree
+
+    def agree(got, want):
+        allowed.append(got.bound + want.bound)
+        return real_agree(got, want)
+
+    monkeypatch.setattr(verify, "_agree", agree)
+    (check,) = [row[3] for row in verify.CHECKS if row[1] == check_id]
+    ok, _, _, bound = check()
+    assert ok and len(allowed) == 1
+    assert Fraction(bound) >= Fraction(allowed[0])
 
 
 def test_failed_checks_report_expected_actual_and_bound(monkeypatch, capsys):
