@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
 
 import pytest
@@ -114,9 +115,7 @@ def test_q_genus_matches_generating_product_exactly(i):
         ), t
 
 
-_ZETA_OF_M = {(): ZetaPoly.one()}
-
-
+@cache
 def _zeta_of_m(lam):
     """zeta(m_lam) by the product rule, in ring arithmetic only.
 
@@ -126,16 +125,16 @@ def _zeta_of_m(lam):
     p_1 to gamma and p_k to zeta(k); a raised partition has fewer parts than
     lam, so the recursion ends at m_() = 1.
     """
-    if lam not in _ZETA_OF_M:
-        k, mu = lam[-1], lam[:-1]
-        acc = (GAMMA_GEN if k == 1 else zeta_gen(k)) * _zeta_of_m(mu)
-        for v in set(mu):
-            rest = list(mu)
-            rest.remove(v)
-            raised = tuple(sorted(rest + [v + k], reverse=True))
-            acc = acc - _zeta_of_m(raised).scaled(raised.count(v + k))
-        _ZETA_OF_M[lam] = acc.scaled(Fraction(1, lam.count(k)))
-    return _ZETA_OF_M[lam]
+    if not lam:
+        return ZetaPoly.one()
+    k, mu = lam[-1], lam[:-1]
+    acc = (GAMMA_GEN if k == 1 else zeta_gen(k)) * _zeta_of_m(mu)
+    for v in set(mu):
+        rest = list(mu)
+        rest.remove(v)
+        raised = tuple(sorted(rest + [v + k], reverse=True))
+        acc = acc - _zeta_of_m(raised).scaled(raised.count(v + k))
+    return acc.scaled(Fraction(1, lam.count(k)))
 
 
 @pytest.mark.parametrize("i", range(1, DEGREE_BUDGET + 1))
