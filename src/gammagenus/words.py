@@ -83,24 +83,41 @@ class QsymPoly(LinearCombination):
         return f"QsymPoly({body or '0'})"
 
 
+# One object for each word and coefficient tuple the _stuffle_words memo
+# holds: a word that turns up in many products is stored once.
+_SHARED: dict = {}
+
+
 @lru_cache(maxsize=None)
 def _stuffle_words(u: Word, v: Word):
-    """Stuffle of two bare words, as a tuple of (word, int coeff) pairs.
+    """Stuffle of two bare words, as parallel tuples (words, int coeffs).
 
     Inductive rule: the first letter of the product comes from u, from v, or
     from fusing both first letters into z_{i+j}; the empty word is the unit.
+    The rule runs bottom up over the suffix pairs (u[i:], v[j:]), one row of
+    the table per i from the ends, and the table is dropped on return: the
+    memo keeps only the products stuffle asks for, over _SHARED's objects,
+    not every suffix product it took to build them.
     """
-    if not u:
-        return ((v, 1),)
-    if not v:
-        return ((u, 1),)
-    out: dict = {}
-    cases = ((u[0], u[1:], v), (v[0], u, v[1:]), (u[0] + v[0], u[1:], v[1:]))
-    for head, left, right in cases:
-        for w, c in _stuffle_words(left, right):
-            key = (head,) + w
-            out[key] = out.get(key, 0) + c
-    return tuple(out.items())
+    below = [{v[j:]: 1} for j in range(len(v) + 1)]
+    for i in range(len(u) - 1, -1, -1):
+        row = [None] * len(v) + [{u[i:]: 1}]
+        for j in range(len(v) - 1, -1, -1):
+            out: dict = {}
+            cases = (
+                (u[i], below[j]),  # (u[i+1:], v[j:])
+                (v[j], row[j + 1]),  # (u[i:], v[j+1:])
+                (u[i] + v[j], below[j + 1]),  # (u[i+1:], v[j+1:])
+            )
+            for head, cell in cases:
+                for w, c in cell.items():
+                    key = (head,) + w
+                    out[key] = out.get(key, 0) + c
+            row[j] = out
+        below = row
+    share = _SHARED.setdefault
+    coeffs = tuple(below[0].values())
+    return tuple(share(w, w) for w in below[0]), share(coeffs, coeffs)
 
 
 def stuffle(a: QsymPoly, b: QsymPoly) -> QsymPoly:
@@ -110,7 +127,7 @@ def stuffle(a: QsymPoly, b: QsymPoly) -> QsymPoly:
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
             c = cu * cv
-            for w, k in _stuffle_words(u, v):
+            for w, k in zip(*_stuffle_words(u, v)):
                 out[w] = out.get(w, 0) + c * k
     return a._like(out)
 

@@ -213,6 +213,42 @@ def test_cache_inventory():
     assert found == CACHES
 
 
+def test_only_the_shared_word_table_grows(capsys):
+    # cache_info() sees only lru_caches; a memo kept in a module-level dict,
+    # list or set shows here as a table that grew while the CLI ran
+    from gammagenus.words import _SHARED, _stuffle_words
+
+    _stuffle_words.cache_clear()
+    _SHARED.clear()
+    modules = [
+        importlib.import_module(f"gammagenus.{path.stem}")
+        for path in sorted(Path(gammagenus.__file__).parent.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
+
+    def sizes():
+        return {
+            f"{module.__name__.split('.')[-1]}.{name}": len(obj)
+            for module in modules
+            for name, obj in vars(module).items()
+            if isinstance(obj, (dict, list, set)) and not name.startswith("__")
+        }
+
+    before = sizes()
+    for argv in (
+        ["qgenus", "--max", "4"],
+        ["qgenus", "--max", "4", "--cy"],
+        ["mzv", "--args", "6,2", "--tol", "1e-8"],
+        ["stuffle", "--left", "2,1", "--right", "3"],
+        ["verify", "--suite", "all"],
+    ):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    after = sizes()
+    grew = [name for name in after if after[name] > before.get(name, 0)]
+    assert grew == ["words._SHARED"]
+
+
 # test oracles: only the tests call them, and they stay
 ORACLES = {"collect_symmetric_to_m"}
 

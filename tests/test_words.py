@@ -1,6 +1,9 @@
 """Stuffle algebra, Lyndon machinery, and the symmetric-function embedding."""
 
 import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gammagenus.symfunc import SymPoly
 from gammagenus.words import (
     MzvValue,
+    _stuffle_words,
     QsymPoly,
     is_lyndon,
     lyndon_decompose,
@@ -121,6 +125,62 @@ def test_stuffle_coefficients_positive_integers(u, v):
     for c in stuffle_word_pair(u, v).terms.values():
         assert c.denominator == 1
         assert c > 0
+
+
+def _stuffle_by_steps(u, v):
+    """Counter over every step sequence merging u and v: a step takes u's
+    head, takes v's head, or fuses both heads into one letter."""
+    got = Counter()
+    for fused in range(min(len(u), len(v)) + 1):
+        n = len(u) + len(v) - fused
+        for from_u in combinations(range(n), len(u)):
+            v_only = [t for t in range(n) if t not in from_u]
+            for both in combinations(from_u, fused):
+                letters = [0] * n
+                for t, a in zip(from_u, u):
+                    letters[t] += a
+                for t, b in zip(sorted(v_only + list(both)), v):
+                    letters[t] += b
+                got[tuple(letters)] += 1
+    return got
+
+
+def test_stuffle_counts_every_step_sequence():
+    # the commutativity, associativity and weight tests all pass a plain
+    # shuffle; this one fails without the fused letter
+    ws = [w for n in range(1, 6) for w in words_of_weight(n)]
+    assert len(ws) == 31
+    for u in ws:
+        for v in ws:
+            assert stuffle_word_pair(u, v).terms == dict(_stuffle_by_steps(u, v))
+
+
+def test_stuffle_memo_keeps_the_asked_products_over_shared_words():
+    _stuffle_words.cache_clear()
+    a = stuffle_word_pair((2, 1, 1), (3, 2))
+    b = stuffle_word_pair((2, 1), (1, 3, 2))
+    assert _stuffle_words.cache_info().currsize == 2
+    (in_a,) = [w for w in a.terms if w == (2, 1, 3, 3)]
+    (in_b,) = [w for w in b.terms if w == (2, 1, 3, 3)]
+    assert in_a is in_b
+
+
+def test_words_suite_leaves_little_memory_behind():
+    script = (
+        "import gc, tracemalloc\n"
+        "from gammagenus.verify import run_suite\n"
+        "tracemalloc.start()\n"
+        "passed = run_suite('words').passed\n"
+        "gc.collect()\n"
+        "print(passed, tracemalloc.get_traced_memory()[0])\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    passed, held = res.stdout.split()
+    assert passed == "True"
+    assert int(held) < 2 * 1024 * 1024
 
 
 def test_is_lyndon():
