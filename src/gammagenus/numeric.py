@@ -324,7 +324,10 @@ def _dp_sum(comp, N: int):
     size = min(BLOCK, N)
     rows = _ROWS if N > BLOCK else 1
     lanes = size // rows
-    n = np.ascontiguousarray(np.arange(1.0, size + 1.0).reshape(lanes, rows).T)
+    if rows > 1:
+        n = np.add.outer(np.arange(1.0, rows + 1.0), np.arange(0.0, size, rows))
+    else:
+        n = np.arange(1.0, size + 1.0).reshape(1, lanes)
     power = {s: np.empty((rows, lanes)) for s in set(comp)}
     vals, terms = np.empty((rows, lanes)), np.empty((rows, lanes))
     csum = np.empty(lanes)
