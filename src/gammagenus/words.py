@@ -9,6 +9,9 @@ what lyndon_decompose exploits.  A QsymPoly is a rational linear
 combination of words (a rationals.LinearCombination) whose product is the
 stuffle; its structure constants are integers (Hoffman, Quasi-shuffle
 products, 2000), so coefficients stay ints until lyndon_decompose divides.
+The word-level product is memoised per pair of words, since the Lyndon
+machinery and the algebra checks ask for the same products again and
+again; the memo holds only those products, each over words stored once.
 
 zeta_word is the word route into the coefficient ring: it sends z_1 to
 gamma and every other Lyndon factor to its multiple zeta symbol, in an
