@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from gammagenus.symfunc import SymPoly
 from gammagenus.words import (
     MzvValue,
-    _stuffle_words,
     QsymPoly,
+    _stuffle_words,
     is_lyndon,
     lyndon_decompose,
     lyndon_factorize,
