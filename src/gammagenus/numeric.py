@@ -324,6 +324,8 @@ def _dp_sum(comp, N: int):
     size = min(BLOCK, N)
     rows = _ROWS if N > BLOCK else 1
     lanes = size // rows
+    # one row is arange itself: outer would fill a second fresh row of N,
+    # several times slower for a sum near BLOCK
     if rows > 1:
         n = np.add.outer(np.arange(1.0, rows + 1.0), np.arange(0.0, size, rows))
     else:

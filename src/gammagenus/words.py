@@ -98,9 +98,9 @@ def _stuffle_words(u: Word, v: Word):
     Inductive rule: the first letter of the product comes from u, from v, or
     from fusing both first letters into z_{i+j}; the empty word is the unit.
     The rule runs bottom up over the suffix pairs (u[i:], v[j:]), one row of
-    the table per i from the ends, and the table is dropped on return: the
-    memo keeps only the products stuffle asks for, over _SHARED's objects,
-    not every suffix product it took to build them.
+    the table per i from the ends, and the table is dropped on return, so
+    the memo keeps only the products stuffle asks for, over _SHARED's
+    objects.
     """
     below = [{v[j:]: 1} for j in range(len(v) + 1)]
     for i in range(len(u) - 1, -1, -1):
