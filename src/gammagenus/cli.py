@@ -3,6 +3,8 @@
 Subcommands: qgenus (print the Chern-class polynomial tables), mzv
 (evaluate one multiple zeta value), stuffle (multiply two words), verify
 (run the self-check suites).  Data goes to stdout, diagnostics to stderr.
+The front end only parses: the library's validators (words.check_word,
+zetaring.check_convergent_composition) check the input and word its errors.
 
 Each command imports the modules it runs inside its own function, so that
 every fresh process pays only for its command: importing this module loads
@@ -39,12 +41,9 @@ def _parse_word(text: str):
     if not text:
         return ()
     try:
-        letters = tuple(int(piece) for piece in text.split(","))
+        return tuple(int(piece) for piece in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse word {text!r}: use comma-separated integers")
-    if any(i < 1 for i in letters):
-        raise ValueError(f"word letters must be >= 1, got {text!r}")
-    return letters
 
 
 def _print_json(data, indent=None) -> None:
@@ -136,24 +135,18 @@ def cmd_qgenus(opts) -> int:
 def cmd_mzv(opts) -> int:
     from .numeric import CutoffBudgetError, DivergentMzvError, mzv
     from .render import format_bounded
-    from .zetaring import mzv_label
+    from .zetaring import check_convergent_composition, mzv_label
 
-    try:
-        comp = _parse_word(opts.args)
-    except ValueError as exc:
-        print(f"mzv: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not comp:
-        print("mzv: composition must be nonempty", file=sys.stderr)
-        return EXIT_USAGE
     if not opts.tol > 0:
         print("mzv: --tol must be positive", file=sys.stderr)
         return EXIT_USAGE
     try:
-        value = mzv(comp, opts.tol)
-    except DivergentMzvError as exc:
+        comp = check_convergent_composition(_parse_word(opts.args))
+    except ValueError as exc:
         print(f"mzv: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENT
+        return EXIT_DIVERGENT if isinstance(exc, DivergentMzvError) else EXIT_USAGE
+    try:
+        value = mzv(comp, opts.tol)
     except CutoffBudgetError as exc:
         print(f"mzv: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -169,12 +162,12 @@ def cmd_stuffle(opts) -> int:
     from .words import QsymPoly, qsym_to_json, stuffle
 
     try:
-        left = _parse_word(opts.left)
-        right = _parse_word(opts.right)
+        left = QsymPoly.from_word(_parse_word(opts.left))
+        right = QsymPoly.from_word(_parse_word(opts.right))
     except ValueError as exc:
         print(f"stuffle: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    product = stuffle(QsymPoly.from_word(left), QsymPoly.from_word(right))
+    product = stuffle(left, right)
     if opts.format == "json":
         _print_json(qsym_to_json(product))
     else:

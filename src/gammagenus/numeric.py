@@ -41,6 +41,7 @@ from .zetaring import (
     check_convergent_composition,
     generator_weight,
     mzv_label,
+    zeta_generator_name,
 )
 
 # Per-operation rounding allowance for BoundedValue arithmetic: generous
@@ -480,8 +481,8 @@ def generator_value(name: str) -> BoundedValue:
 def generator_values(odd_limit: int = 13) -> dict:
     """Numeric values for gamma, pi^2 and the odd zetas up to odd_limit."""
     out = {GAMMA: generator_value(GAMMA), PI2: generator_value(PI2)}
-    for k in range(3, odd_limit + 1, 2):
-        out[f"zeta{k}"] = generator_value(f"zeta{k}")
+    for name in map(zeta_generator_name, range(3, odd_limit + 1, 2)):
+        out[name] = generator_value(name)
     return out
 
 

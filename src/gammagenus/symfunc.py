@@ -155,29 +155,6 @@ def expand_in_vars(f: SymPoly, n: int) -> MultiPoly:
     return out
 
 
-def collect_symmetric_to_m(mp: MultiPoly) -> SymPoly:
-    """Collect a symmetric MultiPoly into the m basis.
-
-    The coefficient of every monomial is compared against its orbit
-    representative, and every orbit must be complete (as many monomials as
-    its exponent vector has distinct arrangements), so an asymmetric input
-    raises instead of being silently mangled.
-    """
-    reps: dict = {}
-    for exps, c in mp.terms.items():
-        rep = tuple(sorted(exps, reverse=True))
-        if reps.setdefault(rep, c) != c:
-            raise ValueError("polynomial is not symmetric")
-    # the monomials are distinct, so each orbit is full iff the counts add up
-    arrangements = sum(
-        factorial(mp.nvars) // prod(factorial(r) for r in Counter(rep).values())
-        for rep in reps
-    )
-    if arrangements != len(mp.terms):
-        raise ValueError("polynomial is not symmetric")
-    return SymPoly("m", {tuple(p for p in rep if p): c for rep, c in reps.items()})
-
-
 # --- basis conversion ------------------------------------------------------
 
 

@@ -55,7 +55,7 @@ from .words import (
     words_of_weight,
     zeta_word_poly,
 )
-from .zetaring import GAMMA, ZetaPoly, zeta_even, zeta_gen, zeta_hom
+from .zetaring import GAMMA, PI2, ZetaPoly, zeta_even, zeta_gen, zeta_hom
 
 SEED = 20318
 
@@ -388,7 +388,7 @@ def _check_gamma_limit():
 def _check_pi2_series():
     n = 1_000_000
     approx = 6.0 * (_dp_sum((2,), n)[0] + zeta_tail_estimate(n, 2)[0])
-    return _near_stored("pi2", approx, 1e-9)
+    return _near_stored(PI2, approx, 1e-9)
 
 
 def _check_cy_consistency():

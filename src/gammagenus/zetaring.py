@@ -189,17 +189,16 @@ def _power_sum_images(n: int) -> tuple:
 def zeta_hom(f: SymPoly) -> ZetaPoly:
     """Ring homomorphism: p_1 -> gamma, p_i -> zeta(i) for i >= 2.
 
-    Every p_lambda maps to one monomial: the factors of its parts multiply
-    and their exponents add.  An m_lambda is read from its integer row
-    r * m_lambda = sum_mu k_mu p_mu.  Every term is scaled to one common
-    denominator, the sums run over ints, and each output coefficient is
-    divided once, through rationals.exact (an int when it is whole).
+    Any basis is rewritten in m first; each m_lambda is read from its integer
+    row r * m_lambda = sum_mu k_mu p_mu, and each p_mu maps to one monomial
+    (the factors of its parts multiply, their exponents add).  Every term is
+    scaled to one common denominator, the sums run over ints, and each output
+    coefficient is divided once, through rationals.exact (an int if whole).
     """
-    if f.basis == "e":
-        f = to_basis(f, "m")
+    f = to_basis(f, "m")
     rows = []
     for lam, c in f.terms.items():
-        r, row = _m_in_p(lam) if f.basis == "m" else (1, {lam: 1})
+        r, row = _m_in_p(lam)
         D, images = _power_sum_images(sum(lam))
         rows.append((c.numerator, c.denominator * r * D, row, images))
     common = lcm(*(den for _, den, _, _ in rows))

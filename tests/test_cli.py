@@ -249,13 +249,9 @@ def test_only_the_shared_word_table_grows(capsys):
     assert grew == ["words._SHARED"]
 
 
-# test oracles: only the tests call them, and they stay
-ORACLES = {"collect_symmetric_to_m"}
-
-
 def test_every_definition_is_used():
     # every top-level def and class and every method, dunders aside, is
-    # public, a test oracle, or named again in the package or the benchmark;
+    # public or named again in the package or the benchmark;
     # a name counts where the syntax tree holds it as a name, an attribute, a
     # definition or an import, so f-string fields count and docstrings,
     # comments and strings do not; a use of another definition of the same
@@ -277,7 +273,7 @@ def test_every_definition_is_used():
                 names[node.name] += 1
             elif isinstance(node, ast.alias):
                 names.update(filter(None, [*node.name.split("."), node.asname]))
-    kept = set(gammagenus.__all__) | ORACLES
+    kept = set(gammagenus.__all__)
     dead = []
     for path in package:
         for node in trees[path].body:
@@ -431,6 +427,23 @@ def test_readme_example_output(command, shown):
     assert got == shown
 
 
+def test_readme_library_block_prints_what_it_shows():
+    # each "expr  # shown" line of the Python block, run after the lines above it
+    (block,) = [
+        b for b in README.read_text(encoding="utf-8").split("```")[1::2]
+        if b.startswith("python\n")
+    ]
+    namespace, checked = {}, 0
+    for line in block.removeprefix("python\n").splitlines():
+        expr, _, shown = line.partition("  # ")
+        if shown:
+            assert repr(eval(expr, namespace)) == shown, expr
+            checked += 1
+        else:
+            exec(line, namespace)
+    assert checked == 3
+
+
 def test_crash_has_its_own_exit_code(monkeypatch, capsys):
     def boom(opts):
         raise MemoryError("out of memory")
@@ -514,6 +527,29 @@ def test_mzv_malformed_args():
     assert "cannot parse" in res.stderr
     res = run_cli("mzv", "--args", "")
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (["mzv", "--args", "0,2"], 2, "mzv: composition entries must be integers >= 1"),
+        (["mzv", "--args", ""], 2, "mzv: composition entries must be integers >= 1"),
+        (["stuffle", "--left", "0", "--right", "2"], 2,
+         "stuffle: word letters must be integers >= 1"),
+        (["mzv", "--args", "1,2"], 3, "mzv: zeta(1,2) diverges"),
+        # --tol is checked before the composition
+        (["mzv", "--args", "1,2", "--tol", "0"], 2, "mzv: --tol must be positive"),
+        (["mzv", "--args", "x"], 2, "mzv: cannot parse word 'x'"),
+    ],
+    ids=["mzv-zero", "mzv-empty", "stuffle-zero", "divergent", "tol-first", "unparsed"],
+)
+def test_input_errors_carry_the_library_message(argv, code, prefix, capsys):
+    # the front end only parses; the library's validators word the refusal
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("tol", ["0", "nan"])

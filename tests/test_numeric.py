@@ -544,6 +544,26 @@ def test_mzv_decisions_are_pinned():
         assert str(info.value) == want, (comp, tol)
 
 
+def test_an_explicit_cutoff_reproduces_the_ladder_bit_for_bit():
+    # the explicit path computes the tail terms by its own expression, and
+    # num.doubling relies on it agreeing with the plan's; 70 of these 90
+    # requests are answered, the rest refused
+    answered = 0
+    for comp in [(2,), (3,), (2, 1), (3, 1), (2, 2), (6, 2), (2, 1, 1),
+                 (3, 2, 2), (4, 2, 2, 2), (7, 1)]:
+        for tol in (10.0 ** -e for e in range(3, 12)):
+            try:
+                laddered, N = mzv_info(comp, tol)
+            except CutoffBudgetError:
+                continue
+            explicit, M = mzv_info(comp, tol, cutoff=N)
+            assert M == N
+            assert explicit.value == laddered.value, (comp, tol, N)
+            assert explicit.bound == laddered.bound, (comp, tol, N)
+            answered += 1
+    assert answered == 70
+
+
 def _compositions(weight):
     """Every composition of weight, in lexicographic order."""
     if weight == 0:
