@@ -3,8 +3,13 @@
 Subcommands: qgenus (print the Chern-class polynomial tables), mzv
 (evaluate one multiple zeta value), stuffle (multiply two words), verify
 (run the self-check suites).  Data goes to stdout, diagnostics to stderr.
-The front end only parses: the library's validators (words.check_word,
+The front end parses, and the library's validators (words.check_word,
 zetaring.check_convergent_composition) check the input and word its errors.
+Two checks stay here because they are about the command, not one value:
+qgenus checks --max against DEGREE_BUDGET before it prints any degree, so
+an out-of-range --max prints no partial table, and mzv checks --tol before
+the composition, so a nonpositive tolerance is a usage error (exit 2)
+naming the option even when the composition diverges.
 
 Each command imports the modules it runs inside its own function, so that
 every fresh process pays only for its command: importing this module loads

@@ -18,7 +18,8 @@ allowance.  Bounds are absolute and intended to be honest, not tight.
 gamma and pi enter as stored decimal constants (50 digits).  Taylor
 coefficients of 1/Gamma(1+z) are produced by exponentiating the log of the
 Weierstrass product, an evaluation route that never touches the symbolic
-zeta homomorphism, so the two can be compared as independent checks.
+zeta homomorphism, so the two can be compared as independent checks; that
+log is checked at z = 1/2 and -1/2, where the product has closed values.
 
 numpy is imported by the numeric routines that use it, on their first call,
 not at import, so the symbolic commands never load it.
@@ -512,131 +513,75 @@ def eval_qsym(q, tol: float = 1e-8) -> BoundedValue:
 
 # --- Taylor coefficients of 1/Gamma(1+z) ----------------------------------------
 
-_PRODUCT_TERMS = 4000
-_VALIDATION_POINTS = (-0.4, -0.2, 0.1, 0.3, 0.5)
-_VALIDATION_DEGREE = 12
-_WINDOW_DEGREE = 18
-
-
-def recip_gamma_product(z: float) -> BoundedValue:
-    """1/Gamma(1+z) by the Weierstrass product, with error control.
-
-    log(1/Gamma(1+z)) = gamma z + sum_{n>=1} [log(1+z/n) - z/n]; the product
-    is truncated at M = _PRODUCT_TERMS factors and the rest replaced by its
-    expansion in zeta tails sum_{k>=2} (-1)^(k-1) z^k/k sum_{n>M} n^-k, cut
-    at k = 12 with an explicit geometric remainder.
-    """
-    import numpy as np
-
-    if not -0.9 <= z <= 0.9:
-        raise ValueError("sample point out of the validated range")
-    M = _PRODUCT_TERMS
-    gamma_bv = generator_value(GAMMA)
-    n = np.arange(1, M + 1, dtype=np.float64)
-    zn = z / n
-    body = np.log1p(zn) - zn
-    log_p = gamma_bv.value * z + float(body.sum())
-    err = gamma_bv.bound * abs(z)
-    # Rounding in the body: each of the M terms carries cancellation error
-    # of order eps * |z|/n, plus eps per accumulated add.
-    err += SUM_EPS * (
-        2.0 * abs(z) * (1.0 + math.log(M)) + float(np.abs(body).sum())
-    )
-    for k in range(2, 13):
-        zk_abs = abs(z) ** k
-        tail_mid, tail_err = zeta_tail_estimate(M, k)
-        log_p += (-1.0) ** (k - 1) * z ** k / k * tail_mid
-        err += zk_abs / k * tail_err + abs(tail_mid) * zk_abs * SUM_EPS
-    # k > 12 remainder: |z|^13/13 * tail(M,13), geometric in |z| from there.
-    tail13 = float(M) ** -12 / 12.0
-    err += abs(z) ** 13 / 13.0 * tail13 / (1.0 - abs(z))
-    value = math.exp(log_p)
-    bound = value * math.expm1(err) + abs(value) * 2.0 ** -50
-    return BoundedValue(value, bound)
-
 
 @lru_cache(maxsize=None)
 def _recip_gamma_series(degree: int):
     """BoundedValue Taylor coefficients g_0..g_degree of 1/Gamma(1+z).
 
     The log of the Weierstrass product is gamma z plus a power series whose
-    degree-k coefficient works out to (-1)^(k-1) zeta(k)/k; exponentiating
-    through the usual recurrence n g_n = sum k l_k g_{n-k} gives the g_i.
-    The zeta inputs come from the summation route, never from the symbolic
-    homomorphism, so this stays an independent oracle.  Only a series that
-    passes _validate_recip_series is returned, and so cached.
+    degree-k coefficient works out to l_k = (-1)^(k-1) zeta(k)/k;
+    exponentiating through the usual recurrence n g_n = sum k l_k g_{n-k}
+    gives the g_i.  The zeta inputs come from the summation route, never
+    from the symbolic homomorphism, so this stays an independent oracle.
+    Only a series whose l_1..l_K, K = max(degree, 40), pass
+    _check_log_series is returned, and so cached.
     """
     ell = [None, generator_value(GAMMA)]
-    for k in range(2, degree + 1):
+    for k in range(2, max(degree, 40) + 1):
         sign = Fraction((-1) ** (k - 1), k)
         ell.append(mzv((k,), ZETA_TOL).scale_fraction(sign))
+    _check_log_series(ell)
     g = [BoundedValue.exact(1.0)]
     for n in range(1, degree + 1):
         acc = BoundedValue.exact(0.0)
         for k in range(1, n + 1):
             acc = acc + ell[k].scale_fraction(k) * g[n - k]
         g.append(acc.scale_fraction(Fraction(1, n)))
-    _validate_recip_series(g)
     return tuple(g)
 
 
-def _validate_recip_series(g) -> None:
-    """Check the degree-12 Taylor sum against the product at sample points.
+def _check_log_series(ell) -> None:
+    """Raise ArithmeticError unless L_K(z) = sum_{k=1..K} ell[k] z^k,
+    K = len(ell) - 1, meets log P(z) at z = 1/2 and z = -1/2, where
+    P(z) = e^(gamma z) prod_{n>=1} (1 + z/n) e^(-z/n) = 1/Gamma(1+z) is
+    the Weierstrass product.  Its values there are closed:
 
-    The allowance combines both rounding bounds with an explicit Taylor
-    remainder: terms 13..18 enter directly, and everything past the window
-    is enveloped by a geometric tail in |z| <= 1/2 under the window's
-    largest magnitude (with headroom), after checking that the magnitudes
-    are actually decaying across the window.
+        P(1/2) P(-1/2) = prod (1 - 1/(4n^2)) = 2/pi (Wallis),
+        P(1/2) / P(-1/2) = e^gamma prod (2n+1)/(2n-1) e^(-1/n)
+                         = lim_M (2M+1) e^(gamma - H_M) = 2 (telescoping),
+
+    so log P(1/2) = log 2 - log(pi)/2 and log P(-1/2) = -log(pi)/2, pi
+    being the stored PI_DECIMAL.  Each ell[k] z^k is exact and fsum rounds
+    each sum once.  The allowance is the ell[k] bounds times 2^-k, 2^-50
+    for the stored pi, the logs and the rounded sums, and the tail: each
+    |l_k| past K is at most zeta(K+1)/(K+1) < 2/(K+1), and the 2^-k past K
+    sum to 2^-K.  Flipping the sign of l_k moves both sums by
+    2 zeta(k)/k 2^-k, past the allowance for every k <= 36 at K = 40.
     """
-    window_mags = [
-        abs(g[i].value) + g[i].bound
-        for i in range(_VALIDATION_DEGREE + 1, _WINDOW_DEGREE + 1)
-    ]
-    if window_mags[-1] > window_mags[0]:
-        raise ArithmeticError(
-            "Taylor coefficients of 1/Gamma(1+z) stopped decaying; "
-            "sign derivation is suspect"
-        )
-    for z in _VALIDATION_POINTS:
-        taylor = BoundedValue.exact(0.0)
-        for i in range(_VALIDATION_DEGREE + 1):
-            zi = BoundedValue(z ** i, abs(z ** i) * i * 2.0 ** -52)
-            taylor = taylor + g[i] * zi
-        remainder = sum(
-            mag * abs(z) ** i
-            for mag, i in zip(
-                window_mags, range(_VALIDATION_DEGREE + 1, _WINDOW_DEGREE + 1)
-            )
-        )
-        remainder += (
-            4.0
-            * max(window_mags)
-            * abs(z) ** (_WINDOW_DEGREE + 1)
-            / (1.0 - abs(z))
-        )
-        product = recip_gamma_product(z)
-        diff = abs(taylor.value - product.value)
-        allowed = taylor.bound + product.bound + remainder
-        if diff > allowed or diff > 1e-6:
+    K = len(ell) - 1
+    half_log_pi = 0.5 * math.log(float(PI_DECIMAL))
+    allowed = math.fsum(ell[k].bound * 2.0 ** -k for k in range(1, K + 1))
+    allowed += 2.0 / (K + 1) * 2.0 ** -K + 2.0 ** -50
+    for z, target in ((0.5, math.log(2.0) - half_log_pi), (-0.5, -half_log_pi)):
+        total = math.fsum(ell[k].value * z ** k for k in range(1, K + 1))
+        if not abs(total - target) <= allowed:
             raise ArithmeticError(
-                f"1/Gamma(1+z) Taylor series disagrees with the product at "
-                f"z={z}: |{taylor.value} - {product.value}| = {diff:g} > "
-                f"{min(allowed, 1e-6):g}"
+                f"log series of 1/Gamma(1+z) misses its closed value at "
+                f"z={z}: |{total} - {target}| = {abs(total - target):g} > "
+                f"{allowed:g}"
             )
 
 
 def gamma_recip_coeffs(N: int):
     """Taylor coefficients g_0..g_N of 1/Gamma(1+z), each with a bound.
 
-    The series is validated against the Weierstrass product at the fixed
-    sample points once per degree per process (the validated series is
-    cached); a failure raises rather than returning unvalidated
-    coefficients.
+    The log series they are exponentiated from is checked against the
+    Weierstrass product's closed values at z = 1/2 and z = -1/2 once per
+    degree per process (the checked series is cached); a failure raises
+    rather than returning unchecked coefficients.
     """
     if type(N) is not int:
         raise TypeError(f"N must be an int, got {N!r}")
     if N < 0:
         raise ValueError("N must be >= 0")
-    g = _recip_gamma_series(max(N, _WINDOW_DEGREE))
-    return list(g[: N + 1])
+    return list(_recip_gamma_series(N))

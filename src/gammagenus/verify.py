@@ -369,7 +369,7 @@ def _check_taylor():
 
 
 def _check_product_validation():
-    gamma_recip_coeffs(12)  # raises unless the series matches the product
+    gamma_recip_coeffs(12)  # raises unless its log series meets the product
     return True, "validated", "validated", ""
 
 

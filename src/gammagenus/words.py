@@ -87,7 +87,8 @@ class QsymPoly(LinearCombination):
 
 
 # One object for each word and coefficient tuple the _stuffle_words memo
-# holds: a word that turns up in many products is stored once.
+# holds: a word that turns up in many products is stored once.  Clearing
+# the memo leaves this table full; freeing the memory takes clearing both.
 _SHARED: dict = {}
 
 

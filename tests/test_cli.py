@@ -311,6 +311,29 @@ def test_no_package_import_inside_a_function():
     assert sorted(hidden) == []
 
 
+def test_numpy_is_imported_only_by_the_summation_kernel():
+    # numpy is the one runtime dependency; these are the uses left to drop
+    users = set()
+    for path in sorted(Path(gammagenus.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        funcs = [
+            f
+            for f in ast.walk(tree)
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                heads = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                heads = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(h.split(".")[0] == "numpy" for h in heads):
+                where = [f.name for f in funcs if node in ast.walk(f)]
+                users.add(f"{path.stem}.{where[-1] if where else '<module>'}")
+    assert sorted(users) == ["numeric._dp_sum", "numeric._power_row"]
+
+
 GOLDEN_COMMANDS = {
     "qgenus-10": ("qgenus", "--max", "10"),
     "verify-all": ("verify", "--suite", "all"),

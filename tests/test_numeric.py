@@ -20,6 +20,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from gammagenus import numeric
 from gammagenus.numeric import (
     BLOCK,
     MAX_CUTOFF,
@@ -29,6 +30,8 @@ from gammagenus.numeric import (
     GAMMA_DECIMAL,
     PI_DECIMAL,
     PLAN_CACHE_SIZE,
+    ZETA_TOL,
+    _check_log_series,
     _choose_cutoff,
     _dp_sum,
     _majorant_chain,
@@ -44,7 +47,6 @@ from gammagenus.numeric import (
     generator_values,
     mzv,
     mzv_info,
-    recip_gamma_product,
     tail_integral,
     zeta_tail_estimate,
 )
@@ -729,14 +731,6 @@ def test_eval_qsym_is_multiplicative_spot():
     assert abs(prod.value - float(direct)) <= prod.bound
 
 
-def test_recip_gamma_product_spot_values():
-    mp.dps = 30
-    for z in (-0.4, -0.2, 0.1, 0.3, 0.5):
-        got = recip_gamma_product(z)
-        want = float(1 / mp.gamma(1 + z))
-        assert abs(got.value - want) <= got.bound
-
-
 def test_gamma_recip_coeffs_against_mpmath_taylor():
     mp.dps = 40
     oracle = mpmath.taylor(lambda t: 1 / mp.gamma(1 + t), 0, 10)
@@ -768,11 +762,39 @@ def test_gamma_recip_coeffs_needs_an_int_degree(N):
 
 
 def test_taylor_series_evaluates_near_direct_product():
-    # degree-12 partial sums at the validation points stay within 1e-6
+    # degree-12 partial sums stay within 1e-6 of mpmath's 1/Gamma(1+z)
     g = gamma_recip_coeffs(12)
     for z in (-0.4, 0.5):
         acc = 0.0
         for i in range(12, -1, -1):
             acc = acc * z + g[i].value
-        direct = recip_gamma_product(z)
-        assert abs(acc - direct.value) <= 1e-6
+        assert abs(acc - float(mpmath.rgamma(1 + z))) <= 1e-6
+
+
+def _log_series(K):
+    ell = [None, generator_value("gamma")]
+    for k in range(2, K + 1):
+        sign = Fraction((-1) ** (k - 1), k)
+        ell.append(mzv((k,), ZETA_TOL).scale_fraction(sign))
+    return ell
+
+
+@pytest.mark.parametrize("k", range(1, 37))
+def test_log_series_check_catches_a_flipped_sign(k):
+    # a Taylor sum of degree 12 at sample points never sees l_13 and up
+    ell = _log_series(40)
+    ell[k] = -ell[k]
+    with pytest.raises(ArithmeticError, match="misses its closed value"):
+        _check_log_series(ell)
+
+
+def test_gamma_recip_coeffs_raises_on_a_flipped_zeta(monkeypatch):
+    def flipped(args, tol):
+        value = mzv(args, tol)
+        return -value if args == (13,) else value
+
+    monkeypatch.setattr(numeric, "mzv", flipped)
+    numeric._recip_gamma_series.cache_clear()
+    with pytest.raises(ArithmeticError, match="misses its closed value"):
+        gamma_recip_coeffs(3)
+    assert numeric._recip_gamma_series.cache_info().currsize == 0
