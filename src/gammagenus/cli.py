@@ -169,10 +169,10 @@ def cmd_stuffle(opts) -> int:
     try:
         left = QsymPoly.from_word(_parse_word(opts.left))
         right = QsymPoly.from_word(_parse_word(opts.right))
+        product = stuffle(left, right)  # ValueError past STUFFLE_BUDGET
     except ValueError as exc:
         print(f"stuffle: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    product = stuffle(left, right)
     if opts.format == "json":
         _print_json(qsym_to_json(product))
     else:

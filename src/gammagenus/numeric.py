@@ -60,6 +60,8 @@ _ROWS = 16
 
 FIRST_RUNG = 100
 MAX_CUTOFF = 20_000_000
+# Rung i of the cutoff ladder is min(FIRST_RUNG * 2^i, MAX_CUTOFF): 19 rungs.
+_LADDER = tuple(min(FIRST_RUNG << i, MAX_CUTOFF) for i in range(19))
 
 # Cutoff plans kept, one per composition, each well under a kilobyte: the
 # 232 compositions of weight <= 12 with every part >= 2 fit.
@@ -195,7 +197,6 @@ def tail_integral(N: float, s: int, r: int, a: int) -> float:
     return float(N) ** (1 - s) * total
 
 
-@lru_cache(maxsize=None)
 def _sum_majorant(s: int, r: int) -> float:
     """Upper bound for sum_{m>=1} m^-s (1+ln m)^r, s >= 2.
 
@@ -228,43 +229,26 @@ def _majorant_chain(comp):
     return A, r
 
 
-def _remainder_cap(comp, N: int, A, r) -> float:
-    """Upper bound for the drift term of the outer tail.
+def _tail_terms(comp, N: int, A, r) -> tuple:
+    """(zeta-tail midpoint, its error, drift cap) for the tail past cutoff N.
 
-    The tail sum_{m>N} m^-s_1 T_2(m) is split as T_2(N+1) * zeta-tail plus
-    the drift sum_{m>N} m^-s_1 (T_2(m) - T_2(N+1)); this caps the drift.
+    The tail sum_{m>N} m^-s_1 T_2(m) is split as T_2(N+1) * zeta-tail,
+    estimated by zeta_tail_estimate, plus the drift
+    sum_{m>N} m^-s_1 (T_2(m) - T_2(N+1)), which the cap bounds (0 at depth 1).
     """
-    k = len(comp)
-    if k == 1:
-        return 0.0
+    zmid, ez = zeta_tail_estimate(N, comp[0])
+    if len(comp) == 1:
+        return zmid, ez, 0.0
     s_1, s_2 = comp[0], comp[1]
     step = (1.0 + 1.0 / N) ** r[3]
     if s_2 >= 2:
         drift_max = A[3] * step * tail_integral(float(N), s_2, r[3], 0)
-        return drift_max * float(N) ** (1 - s_1) / (s_1 - 1)
-    return A[3] * step * tail_integral(float(N), s_1, r[3], 1)
+        return zmid, ez, drift_max * float(N) ** (1 - s_1) / (s_1 - 1)
+    return zmid, ez, A[3] * step * tail_integral(float(N), s_1, r[3], 1)
 
 
 def _slop(k: int, N: int, magnitude: float) -> float:
     return 3.0 * (k + 1) * N * SUM_EPS * magnitude
-
-
-def _predicted_bound(comp, N: int, A, r) -> float:
-    """A-priori bound for the cutoff-N run, at least the reported bound."""
-    k = len(comp)
-    _, ez = zeta_tail_estimate(N, comp[0])
-    logcap = 1.0 + math.log(N + 1.0)
-    if k == 1:
-        t2cap = 1.0
-        caps = 1.0
-        partial_cap = _sum_majorant(comp[0], 0)
-    else:
-        t2cap = A[2] * logcap ** r[2]
-        caps = sum(A[j] * logcap ** r[j] for j in range(2, k + 1))
-        partial_cap = A[2] * _sum_majorant(comp[0], r[2])
-    rup = _remainder_cap(comp, N, A, r)
-    slop_cap = _slop(k, N, partial_cap + caps + 1.0)
-    return _bound(t2cap, ez, rup, slop_cap)
 
 
 def _bound(t2: float, ez: float, rup: float, slop: float) -> float:
@@ -372,20 +356,25 @@ def _dp_sum(comp, N: int):
 def _plan(comp) -> array:
     """The tolerance-free part of the cutoff choice, four doubles per rung.
 
-    Rung i of the ladder is N = min(FIRST_RUNG * 2^i, MAX_CUTOFF).  The
-    array runs up to the rung whose predicted bound is least (no later rung
-    can be first to meet a target) and holds, per rung, that bound,
-    zeta_tail_estimate(N, s_1) and _remainder_cap.
+    The array runs from rung 0 up to the rung whose predicted bound is least
+    (no later rung can be first to meet a target) and holds, per rung, that
+    bound and _tail_terms.  The bound caps the reported one: T_j(N+1) by
+    A[j] (1 + ln(N+1))^r[j], and the partial sum by a constant of the
+    composition.
     """
+    k = len(comp)
     A, r = _majorant_chain(comp)
-    ladder = [FIRST_RUNG]
-    while ladder[-1] < MAX_CUTOFF:
-        ladder.append(min(2 * ladder[-1], MAX_CUTOFF))
-    bounds = [_predicted_bound(comp, N, A, r) for N in ladder]
-    rungs = array("d")
-    for pred, N in zip(bounds[: bounds.index(min(bounds)) + 1], ladder):
-        rup = _remainder_cap(comp, N, A, r)
-        rungs.extend((pred, *zeta_tail_estimate(N, comp[0]), rup))
+    partial_cap = A[2] * _sum_majorant(comp[0], r[2])
+    bounds, rungs = [], array("d")
+    for N in _LADDER:
+        zmid, ez, rup = _tail_terms(comp, N, A, r)
+        logcap = 1.0 + math.log(N + 1.0)
+        # caps on T_2(N+1) .. T_k(N+1); at depth 1 the one cap is T_2 = 1
+        caps = [A[j] * logcap ** r[j] for j in range(2, max(k, 2) + 1)]
+        slop_cap = _slop(k, N, partial_cap + sum(caps) + 1.0)
+        bounds.append(_bound(caps[0], ez, rup, slop_cap))
+        rungs.extend((bounds[-1], zmid, ez, rup))
+    del rungs[4 * bounds.index(min(bounds)) + 4 :]
     return rungs
 
 
@@ -396,7 +385,7 @@ def _choose_cutoff(comp, tol: float) -> tuple:
     target = 0.8 * tol
     for i in range(0, len(rungs), 4):
         if rungs[i] <= target:
-            return min(FIRST_RUNG << (i // 4), MAX_CUTOFF), *rungs[i + 1 : i + 4]
+            return _LADDER[i // 4], *rungs[i + 1 : i + 4]
     tightest = rungs[-4] / 0.8
     step = 10.0 ** (math.floor(math.log10(tightest)) - 1)  # round up, 2 digits
     tightest = math.ceil(tightest / step) * step
@@ -415,8 +404,10 @@ def mzv_info(args, tol: float, *, cutoff=None):
     0.8 * tol; the ladder and its bounds are planned once per composition
     and kept, so a call pays only for its sum.  Passing cutoff explicitly
     skips the ladder (the reported bound is then whatever that cutoff
-    honestly achieves); it must be an int from FIRST_RUNG = 100 to
-    MAX_CUTOFF = 20 000 000, else ValueError.
+    honestly achieves, and tol is only checked to be positive); it must be
+    an int from FIRST_RUNG = 100 to MAX_CUTOFF = 20 000 000, else
+    ValueError.  Both paths take the tail terms from _tail_terms, so a
+    cutoff the ladder chose gives the same value and bound bit for bit.
 
     The predicted bound falls with the cutoff until the rounding allowance,
     which grows with it, takes over; the ladder never goes past the rung
@@ -438,8 +429,7 @@ def mzv_info(args, tol: float, *, cutoff=None):
                     f"got {cutoff!r}"
                 )
             N = cutoff
-            zmid, ez = zeta_tail_estimate(N, comp[0])
-            rup = _remainder_cap(comp, N, *_majorant_chain(comp))
+            zmid, ez, rup = _tail_terms(comp, N, *_majorant_chain(comp))
     except OverflowError:
         # a huge exponent, or a majorant's factorial after many 1s
         raise CutoffBudgetError(
@@ -499,7 +489,13 @@ def eval_zeta_poly(p: ZetaPoly) -> BoundedValue:
 
 
 def eval_mzv_terms(terms, tol: float = 1e-8) -> BoundedValue:
-    """Evaluate a list of MzvTerm objects numerically."""
+    """Evaluate a list of MzvTerm objects numerically.
+
+    tol applies to each MZV on its own, so the bound returned is the sum of
+    their bounds, each times |coeff|, plus rounding: up to sum |coeff| * tol,
+    not tol.  At tol 1e-8 the 3 words of lambda = (3,2,2) give 1.84e-8, and
+    the 12 of (4,3,2,2) give 5.43e-8.
+    """
     acc = BoundedValue.exact(0.0)
     for term in terms:
         acc = acc + mzv(term.args, tol).scale_fraction(term.coeff)
@@ -507,37 +503,15 @@ def eval_mzv_terms(terms, tol: float = 1e-8) -> BoundedValue:
 
 
 def eval_qsym(q, tol: float = 1e-8) -> BoundedValue:
-    """Evaluate a word polynomial; every word must be convergent."""
+    """Evaluate a word polynomial; every word must be convergent.
+
+    As in eval_mzv_terms, each word is certified to tol, so the bound can
+    reach sum |coeff| * tol.
+    """
     return eval_mzv_terms([MzvTerm(c, w) for w, c in sorted(q.terms.items())], tol)
 
 
 # --- Taylor coefficients of 1/Gamma(1+z) ----------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _recip_gamma_series(degree: int):
-    """BoundedValue Taylor coefficients g_0..g_degree of 1/Gamma(1+z).
-
-    The log of the Weierstrass product is gamma z plus a power series whose
-    degree-k coefficient works out to l_k = (-1)^(k-1) zeta(k)/k;
-    exponentiating through the usual recurrence n g_n = sum k l_k g_{n-k}
-    gives the g_i.  The zeta inputs come from the summation route, never
-    from the symbolic homomorphism, so this stays an independent oracle.
-    Only a series whose l_1..l_K, K = max(degree, 40), pass
-    _check_log_series is returned, and so cached.
-    """
-    ell = [None, generator_value(GAMMA)]
-    for k in range(2, max(degree, 40) + 1):
-        sign = Fraction((-1) ** (k - 1), k)
-        ell.append(mzv((k,), ZETA_TOL).scale_fraction(sign))
-    _check_log_series(ell)
-    g = [BoundedValue.exact(1.0)]
-    for n in range(1, degree + 1):
-        acc = BoundedValue.exact(0.0)
-        for k in range(1, n + 1):
-            acc = acc + ell[k].scale_fraction(k) * g[n - k]
-        g.append(acc.scale_fraction(Fraction(1, n)))
-    return tuple(g)
 
 
 def _check_log_series(ell) -> None:
@@ -575,13 +549,28 @@ def _check_log_series(ell) -> None:
 def gamma_recip_coeffs(N: int):
     """Taylor coefficients g_0..g_N of 1/Gamma(1+z), each with a bound.
 
-    The log series they are exponentiated from is checked against the
-    Weierstrass product's closed values at z = 1/2 and z = -1/2 once per
-    degree per process (the checked series is cached); a failure raises
-    rather than returning unchecked coefficients.
+    The log of the Weierstrass product is gamma z plus a power series whose
+    degree-k coefficient works out to l_k = (-1)^(k-1) zeta(k)/k;
+    exponentiating through the usual recurrence n g_n = sum k l_k g_{n-k}
+    gives the g_i.  The zeta inputs come from the summation route, never
+    from the symbolic homomorphism, so this stays an independent oracle.
+    Every call checks l_1..l_K, K = max(N, 40), against the Weierstrass
+    product's closed values at z = 1/2 and z = -1/2 (_check_log_series),
+    and a failure raises before any g_i is computed.
     """
     if type(N) is not int:
         raise TypeError(f"N must be an int, got {N!r}")
     if N < 0:
         raise ValueError("N must be >= 0")
-    return list(_recip_gamma_series(N))
+    ell = [None, generator_value(GAMMA)]
+    for k in range(2, max(N, 40) + 1):
+        sign = Fraction((-1) ** (k - 1), k)
+        ell.append(mzv((k,), ZETA_TOL).scale_fraction(sign))
+    _check_log_series(ell)
+    g = [BoundedValue.exact(1.0)]
+    for n in range(1, N + 1):
+        acc = BoundedValue.exact(0.0)
+        for k in range(1, n + 1):
+            acc = acc + ell[k].scale_fraction(k) * g[n - k]
+        g.append(acc.scale_fraction(Fraction(1, n)))
+    return g

@@ -12,6 +12,8 @@ products, 2000), so coefficients stay ints until lyndon_decompose divides.
 The word-level product is memoised per pair of words, since the Lyndon
 machinery and the algebra checks ask for the same products again and
 again; the memo holds only those products, each over words stored once.
+A pair whose product would build more than STUFFLE_BUDGET letters is
+refused with ValueError before any work.
 
 zeta_word is the word route into the coefficient ring: it sends z_1 to
 gamma and every other Lyndon factor to its multiple zeta symbol, in an
@@ -91,6 +93,31 @@ class QsymPoly(LinearCombination):
 # the memo leaves this table full; freeing the memory takes clearing both.
 _SHARED: dict = {}
 
+# Letters one word product may build.  Its table holds the product of
+# each suffix of u with each suffix of v, D(a, b) words of length at most
+# a + b for suffixes of lengths a and b, where D(a, b) = sum_k C(a,k) C(b,k)
+# 2^k is the Delannoy number; peak memory and time both follow the sum.
+STUFFLE_BUDGET = 20_000_000
+
+
+def _check_stuffle_size(m: int, n: int) -> None:
+    """Raise ValueError if a product of words of lengths m and n would build
+    more than STUFFLE_BUDGET letters: sum_{a<=m, b<=n} D(a, b) (a + b)."""
+    row = [1] * (n + 1)  # D(0, b)
+    letters = n * (n + 1) // 2
+    for a in range(1, m + 1):
+        if letters > STUFFLE_BUDGET:
+            break
+        diag = 1
+        for b in range(1, n + 1):
+            diag, row[b] = row[b], row[b] + row[b - 1] + diag
+        letters += sum(d * (a + b) for b, d in enumerate(row))
+    if letters > STUFFLE_BUDGET:
+        raise ValueError(
+            f"a product of words of lengths {m} and {n} builds more than "
+            f"STUFFLE_BUDGET = {STUFFLE_BUDGET} letters"
+        )
+
 
 @lru_cache(maxsize=None)
 def _stuffle_words(u: Word, v: Word):
@@ -101,8 +128,9 @@ def _stuffle_words(u: Word, v: Word):
     The rule runs bottom up over the suffix pairs (u[i:], v[j:]), one row of
     the table per i from the ends, and the table is dropped on return, so
     the memo keeps only the products stuffle asks for, over _SHARED's
-    objects.
+    objects.  A pair past STUFFLE_BUDGET raises ValueError before any work.
     """
+    _check_stuffle_size(len(u), len(v))
     below = [{v[j:]: 1} for j in range(len(v) + 1)]
     for i in range(len(u) - 1, -1, -1):
         row = [None] * len(v) + [{u[i:]: 1}]

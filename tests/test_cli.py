@@ -117,6 +117,26 @@ def test_qgenus_degree_budget_fits_in_1gb():
     )
 
 
+def test_stuffle_past_its_budget_is_refused_before_any_work():
+    # D(10, 10) = 8 097 453 terms: unrefused, this pair exhausts 2 GB
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    ones, twos = ",".join(["1"] * 10), ",".join(["2"] * 10)
+    res = subprocess.run(
+        [sys.executable, "-m", "gammagenus", "stuffle", "--left", ones, "--right", twos],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=cap_address_space,
+    )
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == (
+        "stuffle: a product of words of lengths 10 and 10 builds more than "
+        "STUFFLE_BUDGET = 20000000 letters\n"
+    )
+
+
 def test_qgenus_and_stuffle_never_load_numpy():
     script = (
         "import sys\n"
@@ -189,7 +209,7 @@ def test_package_names_load_on_first_use():
 # every lru_cache in the package, by module: adding or dropping one is a
 # declared change, and these are the caches process-level stats would read
 CACHES = {
-    "numeric": {"_plan", "_recip_gamma_series", "_sum_majorant", "generator_value"},
+    "numeric": {"_plan", "generator_value"},
     "partitions": {"partitions_of"},
     "symfunc": {"_coefficient", "_m_in_e", "_m_in_p"},
     "words": {"_stuffle_words"},

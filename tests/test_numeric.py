@@ -34,10 +34,8 @@ from gammagenus.numeric import (
     _check_log_series,
     _choose_cutoff,
     _dp_sum,
-    _majorant_chain,
     _plan,
     _power_row,
-    _predicted_bound,
     _slop,
     eval_mzv_terms,
     eval_qsym,
@@ -547,9 +545,9 @@ def test_mzv_decisions_are_pinned():
 
 
 def test_an_explicit_cutoff_reproduces_the_ladder_bit_for_bit():
-    # the explicit path computes the tail terms by its own expression, and
-    # num.doubling relies on it agreeing with the plan's; 70 of these 90
-    # requests are answered, the rest refused
+    # the explicit path and the plan take the tail terms from one function,
+    # and num.doubling relies on the two agreeing bit for bit; 70 of these
+    # 90 requests are answered, the rest refused
     answered = 0
     for comp in [(2,), (3,), (2, 1), (3, 1), (2, 2), (6, 2), (2, 1, 1),
                  (3, 2, 2), (4, 2, 2, 2), (7, 1)]:
@@ -639,7 +637,7 @@ def test_every_refusal_names_a_tolerance_that_certifies():
         _choose_cutoff(comp, tightest)
 
 
-def test_plan_is_built_once_per_composition():
+def test_plan_is_built_once_per_composition(monkeypatch):
     # certified and refused tolerances alike read the one plan of (2,2)
     _plan.cache_clear()
     outcomes = set()
@@ -651,6 +649,20 @@ def test_plan_is_built_once_per_composition():
     assert "refused" in outcomes and len(outcomes) > 5
     info = _plan.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 999, 1)
+    # and one build takes the composition's majorant constants once, not
+    # once per rung: at most one _sum_majorant call per part
+    calls = []
+
+    def counted(s, r):
+        calls.append((s, r))
+        return sum_majorant(s, r)
+
+    sum_majorant = numeric._sum_majorant
+    monkeypatch.setattr(numeric, "_sum_majorant", counted)
+    for comp in [(2,), (3,), (2, 2), (3, 1, 2), (2, 1, 1, 1), (4, 2, 2, 2)]:
+        calls.clear()
+        _plan.__wrapped__(comp)
+        assert len(calls) <= len(comp), (comp, calls)
 
 
 def test_plan_cache_is_bounded():
@@ -668,12 +680,12 @@ def test_plan_cache_is_bounded():
 
 @pytest.mark.parametrize("comp", [(2, 1), (2, 1, 1), (2, 1, 1, 1)])
 def test_ladder_never_passes_the_least_bound_rung(comp):
-    # The predicted bound is least at 100 * 2^15 = 3 276 800 and larger on
-    # the 6.5M, 13.1M and 20M rungs, so the ladder never picks those; an
+    # The predicted bound is least at 100 * 2^15 = 3 276 800, where the plan
+    # ends, so the ladder never picks the 6.5M, 13.1M and 20M rungs; an
     # explicit cutoff still reaches them (test_mzv_largest_cutoff_fits_in_1gb
     # sums the top one).
     ladder = [min(100 << i, MAX_CUTOFF) for i in range(19)]
-    bounds = [_predicted_bound(comp, N, *_majorant_chain(comp)) for N in ladder]
+    bounds = list(_plan(comp)[::4])
     least = bounds.index(min(bounds))
     assert ladder[least:] == [3_276_800, 6_553_600, 13_107_200, MAX_CUTOFF]
     tightest = bounds[least] / 0.8
@@ -794,7 +806,8 @@ def test_gamma_recip_coeffs_raises_on_a_flipped_zeta(monkeypatch):
         return -value if args == (13,) else value
 
     monkeypatch.setattr(numeric, "mzv", flipped)
-    numeric._recip_gamma_series.cache_clear()
     with pytest.raises(ArithmeticError, match="misses its closed value"):
         gamma_recip_coeffs(3)
-    assert numeric._recip_gamma_series.cache_info().currsize == 0
+    # nothing of the failed call is kept: the true zeta passes again
+    monkeypatch.undo()
+    assert len(gamma_recip_coeffs(3)) == 4

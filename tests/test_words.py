@@ -6,14 +6,17 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammagenus.symfunc import SymPoly
 from gammagenus.words import (
+    STUFFLE_BUDGET,
     MzvValue,
     QsymPoly,
+    _check_stuffle_size,
     _stuffle_words,
     is_lyndon,
     lyndon_decompose,
@@ -163,6 +166,37 @@ def test_stuffle_memo_keeps_the_asked_products_over_shared_words():
     (in_a,) = [w for w in a.terms if w == (2, 1, 3, 3)]
     (in_b,) = [w for w in b.terms if w == (2, 1, 3, 3)]
     assert in_a is in_b
+
+
+def _table_letters(m, n):
+    """Letters of every suffix-pair product, sum D(a, b) (a + b) by comb."""
+    return sum(
+        comb(a, k) * comb(b, k) * 2**k * (a + b)
+        for a in range(m + 1)
+        for b in range(n + 1)
+        for k in range(min(a, b) + 1)
+    )
+
+
+# for each second length n, the longest first word the budget admits
+@pytest.mark.parametrize("m, n", [(6324, 0), (309, 1), (77, 2), (10, 7), (8, 8)])
+def test_stuffle_budget_bounds_the_letters_its_table_builds(m, n):
+    assert _table_letters(m, n) <= STUFFLE_BUDGET < _table_letters(m + 1, n)
+    _check_stuffle_size(m, n)
+    _check_stuffle_size(n, m)
+    with pytest.raises(ValueError, match=f"STUFFLE_BUDGET = {STUFFLE_BUDGET} "):
+        _check_stuffle_size(m + 1, n)
+
+
+def test_stuffle_budget_is_checked_only_when_a_product_is_built(monkeypatch):
+    checked = []
+    monkeypatch.setattr(
+        "gammagenus.words._check_stuffle_size", lambda *mn: checked.append(mn)
+    )
+    _stuffle_words.cache_clear()
+    for _ in range(3):
+        stuffle_word_pair((2, 1), (3,))
+    assert checked == [(2, 1)]
 
 
 def test_words_suite_leaves_little_memory_behind():
