@@ -15,14 +15,18 @@ Either way each running-sum entry takes at most N additions of nonnegative
 terms (2 * 16 + 2048 + ceil(N / BLOCK) past one block), inside the
 allowance.  Bounds are absolute and intended to be honest, not tight.
 
-gamma and pi enter as stored decimal constants (50 digits).  Taylor
+gamma and pi enter as stored decimal constants (50 digits).  A single
+zeta(k), for the ring's odd generators and for 1/Gamma's log series, is the
+ladder's first rung alone: 100 terms and the Euler-Maclaurin tail past them,
+summed once by fsum in plain floats, within about 4.3e-16 zeta(k).  Taylor
 coefficients of 1/Gamma(1+z) are produced by exponentiating the log of the
 Weierstrass product, an evaluation route that never touches the symbolic
 zeta homomorphism, so the two can be compared as independent checks; that
 log is checked at z = 1/2 and -1/2, where the product has closed values.
 
-numpy is imported by the numeric routines that use it, on their first call,
-not at import, so the symbolic commands never load it.
+numpy is imported by the summation kernel alone, on its first call, not at
+import, so the symbolic commands, eval_zeta_poly and gamma_recip_coeffs
+never load it.
 """
 
 from __future__ import annotations
@@ -66,8 +70,6 @@ _LADDER = tuple(min(FIRST_RUNG << i, MAX_CUTOFF) for i in range(19))
 # Cutoff plans kept, one per composition, each well under a kilobyte: the
 # 232 compositions of weight <= 12 with every part >= 2 fit.
 PLAN_CACHE_SIZE = 256
-
-ZETA_TOL = 1e-12
 
 GAMMA_DECIMAL = "0.57721566490153286060651209008240243104215933593992"
 PI_DECIMAL = "3.14159265358979323846264338327950288419716939937510"
@@ -141,7 +143,10 @@ class BoundedValue:
         return acc
 
     def agrees_with(self, other: "BoundedValue") -> bool:
-        return abs(self.value - other.value) <= self.bound + other.bound
+        """|self - other| <= the sum of the bounds, judged exactly: a float
+        difference or sum could round down and pass a gap past the bounds."""
+        gap = abs(Fraction(self.value) - Fraction(other.value))
+        return gap <= Fraction(self.bound) + Fraction(other.bound)
 
     def to_json(self) -> dict:
         return {"value": self.value, "bound": self.bound}
@@ -459,11 +464,20 @@ def mzv(args, tol: float) -> BoundedValue:
 # --- generator values -----------------------------------------------------------
 
 
+def _zeta(k: int) -> BoundedValue:
+    """zeta(k), k >= 2: one fsum of the FIRST_RUNG terms 1/n^k, each an int
+    division rounded once, and the tail's midpoint.  Those roundings stay within
+    (2^-52 + 2^-106) value; headroom 2^-50 covers 2^-106 and the bound's own."""
+    mid, err = zeta_tail_estimate(FIRST_RUNG, k)
+    value = math.fsum([*(1 / n**k for n in range(1, FIRST_RUNG + 1)), mid])
+    return BoundedValue(value, (err + 2.0 ** -52 * value) * (1.0 + 2.0 ** -50))
+
+
 @lru_cache(maxsize=None)
 def generator_value(name: str) -> BoundedValue:
-    """gamma and pi^2 from the stored decimals, an odd zeta summed to ZETA_TOL."""
+    """gamma and pi^2 from the stored decimals, an odd zeta from _zeta."""
     if name not in (GAMMA, PI2):
-        return mzv((generator_weight(name),), ZETA_TOL)
+        return _zeta(generator_weight(name))
     v = float(GAMMA_DECIMAL if name == GAMMA else PI_DECIMAL)
     stored = BoundedValue(v, abs(v) * 2.0 ** -52)
     return stored if name == GAMMA else stored * stored
@@ -530,7 +544,9 @@ def _check_log_series(ell) -> None:
     for the stored pi, the logs and the rounded sums, and the tail: each
     |l_k| past K is at most zeta(K+1)/(K+1) < 2/(K+1), and the 2^-k past K
     sum to 2^-K.  Flipping the sign of l_k moves both sums by
-    2 zeta(k)/k 2^-k, past the allowance for every k <= 36 at K = 40.
+    2 zeta(k)/k 2^-k, at z = -1/2 always upward, the side the truncation
+    already leaves that sum on (by 2.2e-14 at K = 40): past the allowance
+    (4.5e-14 at K = 40) for every k <= 40.
     """
     K = len(ell) - 1
     half_log_pi = 0.5 * math.log(float(PI_DECIMAL))
@@ -552,8 +568,9 @@ def gamma_recip_coeffs(N: int):
     The log of the Weierstrass product is gamma z plus a power series whose
     degree-k coefficient works out to l_k = (-1)^(k-1) zeta(k)/k;
     exponentiating through the usual recurrence n g_n = sum k l_k g_{n-k}
-    gives the g_i.  The zeta inputs come from the summation route, never
-    from the symbolic homomorphism, so this stays an independent oracle.
+    gives the g_i.  The zeta inputs come from _zeta, 100 terms and the
+    Euler-Maclaurin tail, never from the symbolic homomorphism, so this
+    stays an independent oracle.
     Every call checks l_1..l_K, K = max(N, 40), against the Weierstrass
     product's closed values at z = 1/2 and z = -1/2 (_check_log_series),
     and a failure raises before any g_i is computed.
@@ -565,7 +582,7 @@ def gamma_recip_coeffs(N: int):
     ell = [None, generator_value(GAMMA)]
     for k in range(2, max(N, 40) + 1):
         sign = Fraction((-1) ** (k - 1), k)
-        ell.append(mzv((k,), ZETA_TOL).scale_fraction(sign))
+        ell.append(_zeta(k).scale_fraction(sign))
     _check_log_series(ell)
     g = [BoundedValue.exact(1.0)]
     for n in range(1, N + 1):

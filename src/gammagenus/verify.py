@@ -109,12 +109,11 @@ def _none_bad(bad, label="{}", show=None):
 
 def _agree(got, want):
     """Verdict that two bounded values agree within their summed bounds."""
-    allowed = got.bound + want.bound
     return (
-        abs(got.value - want.value) <= allowed,
+        got.agrees_with(want),
         format_bounded(want),
         format_bounded(got),
-        format_bound(allowed),
+        format_bound(Fraction(got.bound) + Fraction(want.bound)),
     )
 
 

@@ -484,7 +484,7 @@ def test_readme_library_block_prints_what_it_shows():
             checked += 1
         else:
             exec(line, namespace)
-    assert checked == 3
+    assert checked == 4
 
 
 def test_crash_has_its_own_exit_code(monkeypatch, capsys):

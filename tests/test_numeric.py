@@ -21,6 +21,7 @@ import pytest
 from mpmath import mp
 
 from gammagenus import numeric
+from gammagenus.genus import q_genus
 from gammagenus.numeric import (
     BLOCK,
     MAX_CUTOFF,
@@ -30,7 +31,6 @@ from gammagenus.numeric import (
     GAMMA_DECIMAL,
     PI_DECIMAL,
     PLAN_CACHE_SIZE,
-    ZETA_TOL,
     _check_log_series,
     _choose_cutoff,
     _dp_sum,
@@ -101,6 +101,14 @@ def test_bounded_value_agrees_with():
     c = BoundedValue(1.00001, 1e-6)
     assert a.agrees_with(b)
     assert not a.agrees_with(c)
+
+
+def test_agreement_is_judged_exactly():
+    # the gap 2 + 2^-53 rounds to 2.0 in floats, yet exceeds the bounds' sum
+    a, b = BoundedValue(2.0, 1.0), BoundedValue(-(2.0**-53), 1.0)
+    assert not a.agrees_with(b)
+    assert not b.agrees_with(a)
+    assert a.agrees_with(BoundedValue(0.0, 1.0))
 
 
 def test_bounded_value_json():
@@ -787,11 +795,11 @@ def _log_series(K):
     ell = [None, generator_value("gamma")]
     for k in range(2, K + 1):
         sign = Fraction((-1) ** (k - 1), k)
-        ell.append(mzv((k,), ZETA_TOL).scale_fraction(sign))
+        ell.append(numeric._zeta(k).scale_fraction(sign))
     return ell
 
 
-@pytest.mark.parametrize("k", range(1, 37))
+@pytest.mark.parametrize("k", range(1, 41))
 def test_log_series_check_catches_a_flipped_sign(k):
     # a Taylor sum of degree 12 at sample points never sees l_13 and up
     ell = _log_series(40)
@@ -801,13 +809,53 @@ def test_log_series_check_catches_a_flipped_sign(k):
 
 
 def test_gamma_recip_coeffs_raises_on_a_flipped_zeta(monkeypatch):
-    def flipped(args, tol):
-        value = mzv(args, tol)
-        return -value if args == (13,) else value
+    zeta = numeric._zeta
 
-    monkeypatch.setattr(numeric, "mzv", flipped)
+    def flipped(k):
+        value = zeta(k)
+        return -value if k == 13 else value
+
+    monkeypatch.setattr(numeric, "_zeta", flipped)
     with pytest.raises(ArithmeticError, match="misses its closed value"):
         gamma_recip_coeffs(3)
     # nothing of the failed call is kept: the true zeta passes again
     monkeypatch.undo()
     assert len(gamma_recip_coeffs(3)) == 4
+
+
+def test_zeta_ball_holds_mpmath_zeta():
+    mp.dps = 40
+    for k in range(2, 61):
+        z = numeric._zeta(k)
+        want = mp.zeta(k)
+        assert abs(mp.mpf(z.value) - want) <= z.bound, k
+        assert z.bound <= 1e-15 * want, k
+
+
+def test_every_genus_coefficient_to_degree_12_evaluates_tightly():
+    # the worst is 3.3e-8, at degree 12; it grows with the degree (0.099 at 20)
+    for i in range(1, 13):
+        for lam, c in q_genus(i).coeffs.items():
+            v = eval_zeta_poly(c)
+            assert v.bound <= 1e-7 * abs(v.value), (i, lam)
+
+
+def test_ring_values_run_no_mzv_and_no_numpy():
+    # the single zetas of gamma_recip_coeffs and eval_zeta_poly are summed
+    # without the certified-MZV ladder or its numpy kernel
+    script = (
+        "import sys\n"
+        "from gammagenus import genus, numeric\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('the ladder was called')\n"
+        "numeric.mzv = numeric.mzv_info = numeric._dp_sum = refuse\n"
+        "numeric.gamma_recip_coeffs(12)\n"
+        "for c in genus.q_genus(12).coeffs.values():\n"
+        "    numeric.eval_zeta_poly(c)\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
