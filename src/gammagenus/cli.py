@@ -203,6 +203,12 @@ def cmd_verify(opts) -> int:
 
 
 def main(argv=None) -> int:
+    # The CLI owns its process, and _dp_sum uses only ufuncs, never BLAS.
+    # OpenBLAS reads this once, when numpy first loads; left at its default
+    # it starts a worker that spins while numpy loads, and one that shares
+    # the main thread's CPU slows a cold mzv or verify.  A value the user
+    # set still wins.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     opts = parser.parse_args(argv)
     command = {

@@ -11,8 +11,10 @@ actual, bound) of a truth value and three strings, empty where there is
 nothing to show.  `_same`, `_none_bad` and `_agree` build the common kinds.
 `CHECKS` names each check's suite, id and description, and `run_suite`
 turns every verdict into a `CheckRecord`.  A check that raises has failed,
-with the exception as its actual value, except `MemoryError` and
-`RecursionError`: the process, not the check, ran out, so they propagate.
+with the exception as its actual value, except `MemoryError`,
+`RecursionError` and `ImportError`: they mean the process ran out or the
+install lacks a module (numpy, say), not that the check failed, so they
+propagate and the CLI exits 4.
 
 Randomized checks draw from a fixed seed so repeated runs are
 byte-identical.
@@ -497,8 +499,8 @@ def run_suite(name: str) -> Report:
             continue
         try:
             ok, expected, actual, bound = check()
-        except (MemoryError, RecursionError):
-            raise  # the process is out of resources: an internal error, not a verdict
+        except (MemoryError, RecursionError, ImportError):
+            raise  # out of resources or a broken install: an internal error, not a verdict
         except Exception as exc:  # a crashed check is a failed check
             ok, expected, actual, bound = False, "", f"raised {exc!r}", ""
         status = "pass" if ok else "fail"

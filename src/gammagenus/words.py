@@ -96,13 +96,15 @@ _SHARED: dict = {}
 # Letters one word product may build.  Its table holds the product of
 # each suffix of u with each suffix of v, D(a, b) words of length at most
 # a + b for suffixes of lengths a and b, where D(a, b) = sum_k C(a,k) C(b,k)
-# 2^k is the Delannoy number; peak memory and time both follow the sum.
+# 2^k is the Delannoy number; the time follows the sum.  Memory follows
+# only the two rows alive at once, over the shorter word, plus the output.
 STUFFLE_BUDGET = 20_000_000
 
 
 def _check_stuffle_size(m: int, n: int) -> None:
     """Raise ValueError if a product of words of lengths m and n would build
-    more than STUFFLE_BUDGET letters: sum_{a<=m, b<=n} D(a, b) (a + b)."""
+    more than STUFFLE_BUDGET letters: sum_{a<=m, b<=n} D(a, b) (a + b).
+    The count bounds the time; memory holds only two rows of it at once."""
     row = [1] * (n + 1)  # D(0, b)
     letters = n * (n + 1) // 2
     for a in range(1, m + 1):
@@ -126,21 +128,27 @@ def _stuffle_words(u: Word, v: Word):
     Inductive rule: the first letter of the product comes from u, from v, or
     from fusing both first letters into z_{i+j}; the empty word is the unit.
     The rule runs bottom up over the suffix pairs (u[i:], v[j:]), one row of
-    the table per i from the ends, and the table is dropped on return, so
-    the memo keeps only the products stuffle asks for, over _SHARED's
-    objects.  A pair past STUFFLE_BUDGET raises ValueError before any work.
+    the table per suffix of the longer word from the ends, with a cell per
+    suffix of the shorter one, so at most two rows of min(len(u), len(v)) + 1
+    cells are alive at once.  The table is dropped on return, so the memo
+    keeps only the products stuffle asks for, over _SHARED's objects.  A
+    pair past STUFFLE_BUDGET raises ValueError before any work.
     """
     _check_stuffle_size(len(u), len(v))
-    below = [{v[j:]: 1} for j in range(len(v) + 1)]
-    for i in range(len(u) - 1, -1, -1):
-        row = [None] * len(v) + [{u[i:]: 1}]
-        for j in range(len(v) - 1, -1, -1):
+    # x runs the rows and y the cells of a row; y is the shorter word
+    swap = len(u) < len(v)
+    x, y = (v, u) if swap else (u, v)
+    below = [{y[j:]: 1} for j in range(len(y) + 1)]
+    for i in range(len(x) - 1, -1, -1):
+        row = [None] * len(y) + [{x[i:]: 1}]
+        for j in range(len(y) - 1, -1, -1):
             out: dict = {}
-            cases = (
-                (u[i], below[j]),  # (u[i+1:], v[j:])
-                (v[j], row[j + 1]),  # (u[i:], v[j+1:])
-                (u[i] + v[j], below[j + 1]),  # (u[i+1:], v[j+1:])
-            )
+            from_x = (x[i], below[j])  # (x[i+1:], y[j:])
+            from_y = (y[j], row[j + 1])  # (x[i:], y[j+1:])
+            # the rule's order whichever word runs the rows: u's first
+            # letter, v's, then both fused, (x[i+1:], y[j+1:])
+            first, second = (from_y, from_x) if swap else (from_x, from_y)
+            cases = (first, second, (x[i] + y[j], below[j + 1]))
             for head, cell in cases:
                 for w, c in cell.items():
                     key = (head,) + w

@@ -157,6 +157,33 @@ def test_qgenus_and_stuffle_never_load_numpy():
     assert res.stdout.splitlines()[-1] == "[0, 0, 0] [False, True] []"
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+def test_cli_starts_no_blas_worker_unless_asked(preset, expected):
+    # the summation kernel calls no BLAS, and an idle OpenBLAS worker spins
+    # while numpy loads; a value the user set wins.  The child's env is built
+    # here, since in-process cli.main calls set the variable in this process.
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = (
+        "import os\n"
+        "from gammagenus import cli\n"
+        "code = cli.main(['mzv', '--args', '2,2', '--tol', '1e-8'])\n"
+        "tasks = '/proc/self/task'\n"
+        "threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None\n"
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), threads)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    code, value, threads = res.stdout.splitlines()[-1].split()
+    assert (code, value) == ("0", expected)
+    if preset is None and threads != "None":
+        assert threads == "1"
+
+
 # the package modules each command loads, beyond `gammagenus` and `cli`
 BASE_MODULES = {"partitions", "rationals", "render", "symfunc", "zetaring"}
 COMMAND_MODULES = {

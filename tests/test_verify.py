@@ -63,12 +63,14 @@ def test_crashed_check_is_a_failed_check(monkeypatch):
     [
         (MemoryError, cli.EXIT_INTERNAL),
         (RecursionError, cli.EXIT_INTERNAL),
+        (ModuleNotFoundError, cli.EXIT_INTERNAL),
         (ZeroDivisionError, cli.EXIT_VERIFY_FAILED),
         (AssertionError, cli.EXIT_VERIFY_FAILED),
     ],
 )
 def test_out_of_resources_is_an_internal_error(monkeypatch, capsys, error, code):
-    # a check that runs out of memory or stack has not failed: the process has
+    # a check that runs out of memory or stack, or misses a module, has not
+    # failed: the process or the install has
     def crash():
         raise error("boom")
 

@@ -3,6 +3,7 @@
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -197,6 +198,23 @@ def test_stuffle_budget_is_checked_only_when_a_product_is_built(monkeypatch):
     for _ in range(3):
         stuffle_word_pair((2, 1), (3,))
     assert checked == [(2, 1)]
+
+
+def test_stuffle_memory_follows_the_shorter_word():
+    # the table keeps two rows over the shorter word, so a 1 x n product
+    # holds O(n^2) letters at once (4x from n = 100 to 200); rows over the
+    # longer word held O(n^3) (8x).  Both pairs fit STUFFLE_BUDGET.
+    def peak(n):
+        _stuffle_words.cache_clear()
+        tracemalloc.start()
+        try:
+            _stuffle_words((2,), (1,) * n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            _stuffle_words.cache_clear()
+
+    assert peak(200) < 6 * peak(100)
 
 
 def test_words_suite_leaves_little_memory_behind():
