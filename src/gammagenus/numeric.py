@@ -5,15 +5,18 @@ over n_1 > n_2 > ... > n_k >= 1.  The truncation error is controlled
 rigorously: the inner partial-sum functions are bounded by explicit
 majorants A_j (1 + ln n)^{r_j} built from comparison integrals, the
 outermost tail gets an Euler-Maclaurin estimate with an enveloping
-remainder term, and floating-point accumulation, done in a few fixed
-cache-sized rows whatever the cutoff, is covered by a separate rounding
-allowance.  A cutoff past one block of BLOCK terms lays each block out as
-16 rows of 2048 lanes, 16 consecutive n to a lane, so a running sum is
-vector adds down the rows plus one short running sum across the lanes; a
-sum that fits in one block runs as one row, with one running sum over it.
-Either way each running-sum entry takes at most N additions of nonnegative
-terms (2 * 16 + 2048 + ceil(N / BLOCK) past one block), inside the
-allowance.  Bounds are absolute and intended to be honest, not tight.
+remainder term, and floating-point accumulation is covered by a separate
+rounding allowance.  A sum that fits in one block of BLOCK terms is one
+running sum per level over its power rows; up to the ladder's sixth rung,
+CACHED_ROW_CUTOFF = 3200, those rows are slices of one cached read-only row
+per exponent (25.6 KB each, at most 16 kept), so such a sum computes no
+power.  A cutoff past one block works in a few fixed cache-sized rows
+whatever the cutoff, each block laid out as 16 rows of 2048 lanes, 16
+consecutive n to a lane, so a running sum is vector adds down the rows plus
+one short running sum across the lanes.  Either way each running-sum entry
+takes at most N additions of nonnegative terms (2 * 16 + 2048 +
+ceil(N / BLOCK) past one block), inside the allowance.  Bounds are absolute
+and intended to be honest, not tight.
 
 gamma and pi enter as stored decimal constants (50 digits).  A single
 zeta(k), for the ring's odd generators and for 1/Gamma's log series, is the
@@ -66,6 +69,13 @@ FIRST_RUNG = 100
 MAX_CUTOFF = 20_000_000
 # Rung i of the cutoff ladder is min(FIRST_RUNG * 2^i, MAX_CUTOFF): 19 rungs.
 _LADDER = tuple(min(FIRST_RUNG << i, MAX_CUTOFF) for i in range(19))
+
+# One-block sums up to this cutoff, the ladder's first six rungs, read their
+# power rows from _cached_power_row: one row of 25.6 KB per exponent, at most
+# POWER_CACHE_SIZE of them (410 KB); rows of BLOCK doubles would take 256 KB
+# each for little more speed.
+CACHED_ROW_CUTOFF = _LADDER[5]
+POWER_CACHE_SIZE = 16
 
 # Cutoff plans kept, one per composition, each well under a kilobyte: the
 # 232 compositions of weight <= 12 with every part >= 2 fit.
@@ -264,8 +274,9 @@ def _bound(t2: float, ez: float, rup: float, slop: float) -> float:
 # --- nested summation -----------------------------------------------------------
 
 
-def _power_row(n, s: int, out) -> None:
-    """out = n^-s elementwise, for a row n of integer-valued doubles.
+def _power_row(n, s: int, out=None):
+    """n^-s elementwise, for a row n of integer-valued doubles, into out (a
+    fresh row when out is None), which is returned.
 
     For s <= 2 each entry is one correctly rounded division of 1 by n or by
     n*n (n*n is an exact double for n < 2^26.5, past MAX_CUTOFF); for s >= 3
@@ -274,12 +285,22 @@ def _power_row(n, s: int, out) -> None:
     import numpy as np
 
     if s == 1:
-        np.divide(1.0, n, out=out)
-    elif s == 2:
-        np.multiply(n, n, out=out)
-        np.divide(1.0, out, out=out)
-    else:
-        np.power(n, -float(s), out=out)
+        return np.divide(1.0, n, out=out)
+    if s == 2:
+        out = np.multiply(n, n, out=out)
+        return np.divide(1.0, out, out=out)
+    return np.power(n, -float(s), out=out)
+
+
+@lru_cache(maxsize=POWER_CACHE_SIZE)
+def _cached_power_row(s: int):
+    """n^-s for n = 1 .. CACHED_ROW_CUTOFF by _power_row, made read-only
+    because every one-block sum up to that cutoff shares it."""
+    import numpy as np
+
+    row = _power_row(np.arange(1.0, CACHED_ROW_CUTOFF + 1.0), s)
+    row.flags.writeable = False
+    return row
 
 
 def _dp_sum(comp, N: int):
@@ -290,65 +311,79 @@ def _dp_sum(comp, N: int):
     is asserted along the way (monotone convergence in the cutoff).  The
     sum is finite, so s_1 = 1 is valid here: (1,) gives the harmonic H_N.
 
-    Rows of BLOCK doubles are allocated once per call, whatever N is.  When
-    N > BLOCK each block is laid out as _ROWS = 16 rows of BLOCK // 16 = 2048
-    lanes, lane l holding 16 consecutive n (n[t, l] = lo + 16 l + t), and a
-    level's running sum is built from the lane totals (a sum down the rows),
-    one running sum over the 2048 lane totals plus the carry for row 0, and
-    15 row adds vals[t] = vals[t-1] + level[t-1]: vector adds, not one
-    scalar chain over the block.  The last block keeps ceil(m / 16) lanes and
-    sets n past N to infinity, so its power rows read 0 there.  A sum that
-    fits in one block runs as one row of N lanes, and its lane totals are
-    that row: the same operations, and so the same bits, as one running sum.
+    A sum that fits in one block, N <= BLOCK, is one running sum per level
+    over the power rows, and every running-sum entry takes at most N
+    additions.  For N <= CACHED_ROW_CUTOFF those rows are read-only slices of
+    _cached_power_row's rows, so no n^-s is computed again; past it they are
+    computed fresh.  Either way each entry n^-s is the same double, so the
+    sums have the same bits.
 
-    Every running-sum entry is formed with at most 2 * 16 + 2048 +
-    ceil(N / BLOCK) additions of nonnegative terms (down the rows, across
-    the lanes, the carries, along the rows), fewer than N when N > BLOCK,
-    and at most N in one row, so _slop's allowance of N per level still
-    covers it.  The power rounding is one correctly rounded division for
-    s <= 2 and within 1 ulp for s >= 3 (_power_row), both inside SUM_EPS's
-    allowance.
+    Past one block, rows of BLOCK doubles are allocated once per call,
+    whatever N is, and each block is laid out as _ROWS = 16 rows of
+    BLOCK // 16 = 2048 lanes, lane l holding 16 consecutive n
+    (n[t, l] = lo + 16 l + t).  A level's running sum is built from the lane
+    totals (a sum down the rows), one running sum over the 2048 lane totals
+    plus the carry for row 0, and 15 row adds vals[t] = vals[t-1] +
+    level[t-1]: vector adds, not one scalar chain over the block.  The last
+    block keeps ceil(m / 16) lanes and sets n past N to infinity, so its
+    power rows read 0 there.  Every running-sum entry is formed with at most
+    2 * 16 + 2048 + ceil(N / BLOCK) additions of nonnegative terms (down the
+    rows, across the lanes, the carries, along the rows), fewer than N.
+
+    So _slop's allowance of N additions per level covers every route.  The
+    power rounding is one correctly rounded division for s <= 2 and within
+    1 ulp for s >= 3 (_power_row), both inside SUM_EPS's allowance.
     """
     import numpy as np
 
     k = len(comp)
-    size = min(BLOCK, N)
-    rows = _ROWS if N > BLOCK else 1
-    lanes = size // rows
-    # one row is arange itself: outer would fill a second fresh row of N,
-    # several times slower for a sum near BLOCK
-    if rows > 1:
-        n = np.add.outer(np.arange(1.0, rows + 1.0), np.arange(0.0, size, rows))
-    else:
-        n = np.arange(1.0, size + 1.0).reshape(1, lanes)
-    power = {s: np.empty((rows, lanes)) for s in set(comp)}
-    vals, terms = np.empty((rows, lanes)), np.empty((rows, lanes))
+    carry = {j: 0.0 for j in range(2, k + 1)}
+    if N <= BLOCK:
+        if N <= CACHED_ROW_CUTOFF:
+            power = {s: _cached_power_row(s)[:N] for s in set(comp)}
+        else:
+            n = np.arange(1.0, N + 1.0)
+            power = {s: _power_row(n, s) for s in set(comp)}
+        level = power[comp[-1]]
+        if k > 1:
+            csum, terms = np.empty(N), np.empty(N)
+            terms[0] = 0.0
+        for j in range(k, 1, -1):
+            # level j - 1 at m is m^-s times the running sum below m
+            np.add.accumulate(level, out=csum)
+            carry[j] = float(csum[-1])
+            level = terms
+            np.multiply(power[comp[j - 2]][1:], csum[:-1], out=level[1:])
+        if not level.min() >= 0.0:
+            raise AssertionError("negative summand in a positive series")
+        return float(level.sum()), carry
+
+    lanes = BLOCK // _ROWS
+    n = np.add.outer(np.arange(1.0, _ROWS + 1.0), np.arange(0.0, BLOCK, _ROWS))
+    power = {s: np.empty((_ROWS, lanes)) for s in set(comp)}
+    vals, terms = np.empty((_ROWS, lanes)), np.empty((_ROWS, lanes))
     csum = np.empty(lanes)
     partial = 0.0
-    carry = {j: 0.0 for j in range(2, k + 1)}
-    for lo in range(1, N + 1, size):
+    for lo in range(1, N + 1, BLOCK):
         if lo > 1:
-            n += size
-        m = min(size, N - lo + 1)
-        if m < size:
-            lanes = -(-m // rows)
+            n += BLOCK
+        m = min(BLOCK, N - lo + 1)
+        if m < BLOCK:
+            lanes = -(-m // _ROWS)
             n, vals, terms = n[:, :lanes], vals[:, :lanes], terms[:, :lanes]
             csum = csum[:lanes]
             power = {s: row[:, :lanes] for s, row in power.items()}
-            n[m - rows * (lanes - 1) :, -1] = np.inf
+            n[m - _ROWS * (lanes - 1) :, -1] = np.inf
         for s, row in power.items():
             _power_row(n, s, row)
         level = power[comp[-1]]
         for j in range(k, 1, -1):
-            # running sum of the lane totals; a single row is its own totals
-            np.add.accumulate(
-                np.add.reduce(level, axis=0, out=csum) if rows > 1 else level[0],
-                out=csum,
-            )
+            # running sum of the lane totals
+            np.add.accumulate(np.add.reduce(level, axis=0, out=csum), out=csum)
             vals[0, 0] = carry[j]
             np.add(csum[:-1], carry[j], out=vals[0, 1:])
             carry[j] += float(csum[-1])
-            for t in range(1, rows):
+            for t in range(1, _ROWS):
                 np.add(vals[t - 1], level[t - 1], out=vals[t])
             level = np.multiply(power[comp[j - 2]], vals, out=terms)
         if not level.min() >= 0.0:

@@ -24,6 +24,7 @@ from gammagenus import numeric
 from gammagenus.genus import q_genus
 from gammagenus.numeric import (
     BLOCK,
+    CACHED_ROW_CUTOFF,
     MAX_CUTOFF,
     BoundedValue,
     CutoffBudgetError,
@@ -31,6 +32,8 @@ from gammagenus.numeric import (
     GAMMA_DECIMAL,
     PI_DECIMAL,
     PLAN_CACHE_SIZE,
+    POWER_CACHE_SIZE,
+    _cached_power_row,
     _check_log_series,
     _choose_cutoff,
     _dp_sum,
@@ -633,6 +636,52 @@ def test_one_block_sums_are_pinned():
             line = f"{comp} {N} " + " ".join(map(float.hex, values))
             digest.update(line.encode() + b"\n")
     assert digest.hexdigest() == ONE_BLOCK_SUMS_SHA256
+
+
+def _one_row_sum(comp, N):
+    """_dp_sum's one-block arithmetic as one row of N fresh power entries:
+    per level one running sum, shifted one place, times the next power row."""
+    import numpy as np
+
+    n = np.arange(1.0, N + 1.0)
+    level = _power_row(n, comp[-1], np.empty(N))
+    carries = {}
+    for j in range(len(comp), 1, -1):
+        csum = np.add.accumulate(level)
+        carries[j] = 0.0 + float(csum[-1])
+        vals = np.concatenate(([0.0], csum[:-1]))
+        level = _power_row(n, comp[j - 2], np.empty(N)) * vals
+    return 0.0 + float(level.sum()), carries
+
+
+@pytest.mark.parametrize(
+    "N",
+    [100, 150, CACHED_ROW_CUTOFF - 1, CACHED_ROW_CUTOFF, CACHED_ROW_CUTOFF + 1, BLOCK],
+)
+def test_cached_and_fresh_power_rows_sum_to_the_same_bits(N):
+    # sums up to CACHED_ROW_CUTOFF slice cached rows, longer ones compute
+    # them; 150 is an explicit cutoff that is no rung
+    for comp in convergent_compositions(6):
+        partial, carries = _dp_sum(comp, N)
+        want_partial, want_carries = _one_row_sum(comp, N)
+        assert partial.hex() == want_partial.hex(), comp
+        assert list(carries) == sorted(want_carries), comp
+        for j, carry in carries.items():
+            assert carry.hex() == want_carries[j].hex(), (comp, j)
+
+
+def test_cached_power_rows_are_read_only_and_bounded():
+    row = _cached_power_row(3)
+    assert len(row) == CACHED_ROW_CUTOFF
+    with pytest.raises(ValueError, match="read-only"):
+        row[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        row[:100] *= 2.0
+    for s in range(2, 42):
+        _dp_sum((s, 2), 100)
+    info = _cached_power_row.cache_info()
+    assert info.maxsize == POWER_CACHE_SIZE
+    assert info.currsize <= info.maxsize
 
 
 def test_every_refusal_names_a_tolerance_that_certifies():
