@@ -123,7 +123,7 @@ def _check_stuffle_size(m: int, n: int) -> None:
 
 @lru_cache(maxsize=None)
 def _stuffle_words(u: Word, v: Word):
-    """Stuffle of two bare words, as parallel tuples (words, int coeffs).
+    """Stuffle of two bare words, as parallel tuples (distinct words, int coeffs).
 
     Inductive rule: the first letter of the product comes from u, from v, or
     from fusing both first letters into z_{i+j}; the empty word is the unit.
@@ -135,21 +135,18 @@ def _stuffle_words(u: Word, v: Word):
     pair past STUFFLE_BUDGET raises ValueError before any work.
     """
     _check_stuffle_size(len(u), len(v))
-    # x runs the rows and y the cells of a row; y is the shorter word
-    swap = len(u) < len(v)
-    x, y = (v, u) if swap else (u, v)
+    # x, the longer word, runs the rows and y the cells of a row
+    x, y = (v, u) if len(u) < len(v) else (u, v)
     below = [{y[j:]: 1} for j in range(len(y) + 1)]
     for i in range(len(x) - 1, -1, -1):
         row = [None] * len(y) + [{x[i:]: 1}]
         for j in range(len(y) - 1, -1, -1):
             out: dict = {}
-            from_x = (x[i], below[j])  # (x[i+1:], y[j:])
-            from_y = (y[j], row[j + 1])  # (x[i:], y[j+1:])
-            # the rule's order whichever word runs the rows: u's first
-            # letter, v's, then both fused, (x[i+1:], y[j+1:])
-            first, second = (from_y, from_x) if swap else (from_x, from_y)
-            cases = (first, second, (x[i] + y[j], below[j + 1]))
-            for head, cell in cases:
+            for head, cell in (
+                (x[i], below[j]),  # (x[i+1:], y[j:])
+                (y[j], row[j + 1]),  # (x[i:], y[j+1:])
+                (x[i] + y[j], below[j + 1]),  # (x[i+1:], y[j+1:])
+            ):
                 for w, c in cell.items():
                     key = (head,) + w
                     out[key] = out.get(key, 0) + c
@@ -228,13 +225,14 @@ def stuffle_power_product(factors) -> QsymPoly:
 def lyndon_decompose(q: QsymPoly) -> dict:
     """Rewrite q as a polynomial in commuting Lyndon generators.
 
-    Returns a map from monomials (tuples of Lyndon words, weakly decreasing
-    in the word order) to rational coefficients.  Works by leading-term
-    elimination: the stuffle expansion of the factorization of a word has
-    that word as its maximal term, which is asserted on every pivot.  One
-    pass over all of q is enough: the stuffle keeps weight, so an expansion
-    only touches words of its pivot's weight, and each weight is eliminated
-    exactly as it would be on its own.
+    Returns a dict from monomials (tuples of Lyndon words, weakly decreasing
+    in the word order) to nonzero rational coefficients.  Works by
+    leading-term elimination: the stuffle expansion of the factorization of
+    a word has that word as its maximal term, which is asserted on every
+    pivot, so each pivot is smaller than the last and adds a new monomial.
+    One pass over all of q is enough: the stuffle keeps weight, so an
+    expansion only touches words of its pivot's weight, and each weight is
+    eliminated exactly as it would be on its own.
     """
     result: dict = {}
     residual = q
@@ -249,9 +247,9 @@ def lyndon_decompose(q: QsymPoly) -> dict:
                 f"expansion leads with {expansion.max_word()}"
             )
         c = exact(Fraction(coeff, expansion.terms[pivot]))
-        result[factors] = result.get(factors, 0) + c
+        result[factors] = c
         residual = residual - expansion.scaled(c)
-    return {mono: c for mono, c in result.items() if c}
+    return result
 
 
 def lyndon_recompose(decomposition: dict) -> QsymPoly:
@@ -307,27 +305,22 @@ class MzvValue(LinearCombination):
 def zeta_word(w) -> MzvValue:
     """Evaluate a word through the Lyndon-multiplicative extension.
 
-    A convergent word (first letter subscript >= 2) is a single MZV symbol
-    with coefficient 1.  Otherwise the word is rewritten as a polynomial in
-    Lyndon generators; z_1 evaluates to gamma and any other Lyndon factor to
-    its MZV symbol, with distinct symbols kept as independent commuting
-    atoms.
+    Returns an MzvValue: 1 for the empty word, and for a convergent word
+    (first letter subscript >= 2) its MZV symbol with coefficient 1.  Any
+    other word is rewritten as a polynomial in Lyndon generators, and a
+    monomial c * z_1^g * f_1...f_k becomes the symbols f_1...f_k, as
+    independent commuting atoms, with ring coefficient c * gamma^g.
     """
     word = check_word(w)
     if not word:
         return MzvValue.one()
     if word[0] >= 2:
         return MzvValue.from_atom(word)
-    decomposition = lyndon_decompose(QsymPoly.from_word(word))
     acc = MzvValue.zero()
-    for factors, c in decomposition.items():
-        term = MzvValue.one().scaled(c)
-        for factor in factors:
-            if factor == (1,):
-                term = term * MzvValue.from_ring(ZetaPoly.generator(GAMMA))
-            else:
-                term = term * MzvValue.from_atom(factor)
-        acc = acc + term
+    for factors, c in lyndon_decompose(QsymPoly.from_word(word)).items():
+        atoms = tuple(f for f in factors if f != (1,))
+        gamma = ZetaPoly.generator(GAMMA, len(factors) - len(atoms))
+        acc = acc + MzvValue({atoms: gamma.scaled(c)})
     return acc
 
 

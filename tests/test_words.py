@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gammagenus.symfunc import SymPoly
 from gammagenus.words import (
@@ -30,11 +30,13 @@ from gammagenus.words import (
     sym_to_words,
     word_key,
     words_of_weight,
+    zeta_word,
 )
-from gammagenus.zetaring import ZetaPoly
+from gammagenus.zetaring import GAMMA, ZetaPoly
 
 words = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple)
 small_words = st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple)
+long_words = st.lists(st.integers(1, 4), min_size=0, max_size=6).map(tuple)
 
 
 def test_words_of_weight():
@@ -157,6 +159,17 @@ def test_stuffle_counts_every_step_sequence():
     for u in ws:
         for v in ws:
             assert stuffle_word_pair(u, v).terms == dict(_stuffle_by_steps(u, v))
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_words, long_words)
+def test_stuffle_of_unequal_lengths_counts_every_step_sequence(u, v):
+    # the table's rows run over the longer word whichever comes first, so
+    # stuffle_word_pair(v, u) is no independent check of (u, v); the step
+    # sequences merge u into v in the order given
+    assume(len(u) != len(v))
+    assert stuffle_word_pair(u, v).terms == dict(_stuffle_by_steps(u, v))
+    assert stuffle_word_pair(v, u).terms == dict(_stuffle_by_steps(v, u))
 
 
 def test_stuffle_memo_keeps_the_asked_products_over_shared_words():
@@ -309,6 +322,31 @@ def test_decomposition_uses_only_lyndon_generators():
     q = stuffle_word_pair((1, 1), (2,))
     for mono in lyndon_decompose(q):
         assert all(is_lyndon(f) for f in mono)
+
+
+def _zeta_word_by_products(word):
+    """zeta_word as a product of one MzvValue per Lyndon factor, summed."""
+    if not word:
+        return MzvValue.one()
+    if word[0] >= 2:
+        return MzvValue.from_atom(word)
+    acc = MzvValue.zero()
+    for factors, c in lyndon_decompose(QsymPoly.from_word(word)).items():
+        term = MzvValue.one().scaled(c)
+        for factor in factors:
+            if factor == (1,):
+                term = term * MzvValue.from_ring(ZetaPoly.generator(GAMMA))
+            else:
+                term = term * MzvValue.from_atom(factor)
+        acc = acc + term
+    return acc
+
+
+def test_zeta_word_matches_the_product_of_its_factors():
+    ws = [w for n in range(8) for w in words_of_weight(n)]
+    assert len(ws) == 128
+    for w in ws:
+        assert zeta_word(w) == _zeta_word_by_products(w), w
 
 
 def test_sym_to_words_basics():
