@@ -31,6 +31,7 @@ from gammagenus.numeric import (
 )
 from gammagenus.partitions import partitions_of
 from gammagenus.symfunc import SymPoly, e_to_m_matrix
+from gammagenus.verify import _stuffle_by_steps
 from gammagenus.words import (
     QsymPoly,
     is_lyndon,
@@ -170,11 +171,14 @@ def _random_word(rng, max_weight):
 def test_criterion_7_stuffle_algebra():
     title = "stuffle commutes/associates, adds weight; numeric homomorphism"
     with criterion(7, title, budget=300.0):
+        # commutativity against the step sequences of (v, u): the table runs
+        # its rows over the longer word in either order, so the product
+        # (v, u) would share a bug of (u, v)
         small = [w for n in range(1, 5) for w in words_of_weight(n)]
         for u in small:
             for v in small:
                 uv = stuffle_word_pair(u, v)
-                assert uv == stuffle_word_pair(v, u)
+                assert uv.terms == _stuffle_by_steps(v, u)
                 _assert_weight_additive(uv, u, v)
         for u in small:
             for v in small:
@@ -189,7 +193,7 @@ def test_criterion_7_stuffle_algebra():
         for _ in range(20):
             u, v = _random_word(rng, 7), _random_word(rng, 7)
             uv = stuffle_word_pair(u, v)
-            assert uv == stuffle_word_pair(v, u)
+            assert uv.terms == _stuffle_by_steps(v, u)
             _assert_weight_additive(uv, u, v)
         for _ in range(12):
             u, v, w = (_random_word(rng, 7) for _ in range(3))

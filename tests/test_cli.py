@@ -9,6 +9,7 @@ import resource
 import shlex
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -554,6 +555,148 @@ def test_closed_stdout_is_not_an_internal_error(args):
         os.close(write_end)
     assert res.stderr == ""
     assert res.returncode == cli.EXIT_OK
+
+
+# `verify --suite all` runs the words suite in a forked worker only in a
+# single-threaded process, so these cases run in a fresh interpreter, with
+# one cheap check per suite.  `setup` may replace a check or break the
+# process; the last stderr line is the exit code, the forks taken and
+# whether no child was left unreaped after cli.main returned.
+FORK_SCRIPT = """\
+import os, signal, sys
+from gammagenus import cli, verify
+
+forks = []
+real_fork = os.fork
+
+def fork():
+    forks.append(real_fork())
+    return forks[-1]
+
+def symbolic_check():
+    return True, "", "", ""
+
+words_check = numeric_check = symbolic_check
+
+os.fork = fork
+{setup}
+verify.CHECKS = (
+    ("symbolic", "sym.case", "symbolic case", symbolic_check),
+    ("words", "words.case", "words case", words_check),
+    ("numeric", "num.case", "numeric case", numeric_check),
+)
+sys.stdout.write("written before verify\\n")
+code = cli.main(["verify", "--suite", "{suite}"])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    reaped = False
+except ChildProcessError:
+    reaped = True
+print(code, len(forks), reaped, file=sys.stderr)
+"""
+
+
+def _run_fork_script(setup, suite="all"):
+    """(exit code, forks, reaped, stdout, other stderr lines) of FORK_SCRIPT,
+    its stdout block-buffered as a pipe's is by default."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    res = subprocess.run(
+        [sys.executable, "-c", FORK_SCRIPT.format(setup=setup, suite=suite)],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    *err, summary = res.stderr.splitlines()
+    code, forks, reaped = summary.split()
+    return int(code), int(forks), reaped == "True", res.stdout, err
+
+
+def test_verify_all_runs_words_in_a_reaped_worker():
+    # the worker leaves by os._exit, so the line this process buffered
+    # before the fork is written once
+    code, forks, reaped, out, err = _run_fork_script("")
+    assert (code, forks, reaped, err) == (0, 1, True, [])
+    assert out.splitlines() == [
+        "written before verify",
+        "suite: all",
+        "[PASS] sym.case: symbolic case",
+        "[PASS] words.case: words case",
+        "[PASS] num.case: numeric case",
+        "3/3 checks passed",
+    ]
+
+
+def test_a_failing_worker_check_is_a_verify_failure():
+    setup = "def words_check():\n    raise ValueError('boom')"
+    code, forks, reaped, out, err = _run_fork_script(setup)
+    assert (code, forks, reaped, err) == (cli.EXIT_VERIFY_FAILED, 1, True, [])
+    assert "       actual:   raised ValueError('boom')" in out.splitlines()
+
+
+@pytest.mark.parametrize("error", ["MemoryError", "RecursionError", "ImportError"])
+def test_worker_out_of_resources_is_the_one_suite_internal_error(error):
+    setup = f"def words_check():\n    raise {error}('no room')"
+    alone = _run_fork_script(setup, suite="words")
+    code, forks, reaped, _, err = _run_fork_script(setup)
+    assert (code, forks, reaped) == (cli.EXIT_INTERNAL, 1, True)
+    assert err == alone[4] == [f"gammagenus: internal error: {error}: no room"]
+
+
+@pytest.mark.parametrize(
+    "setup, want",
+    [
+        ("def words_check():\n    os.kill(os.getpid(), signal.SIGKILL)",
+         "RuntimeError: the words suite's worker ended with exit code -9"),
+        ("import marshal\nreal_dumps = marshal.dumps\n"
+         "marshal.dumps = lambda message: real_dumps(message)[:-1]",
+         "EOFError: "),
+    ],
+    ids=["killed", "cut-message"],
+)
+def test_a_lost_worker_is_an_internal_error(setup, want):
+    code, forks, reaped, _, err = _run_fork_script(setup)
+    assert (code, forks, reaped) == (cli.EXIT_INTERNAL, 1, True)
+    assert len(err) == 1 and err[0].startswith(f"gammagenus: internal error: {want}")
+
+
+@pytest.mark.parametrize(
+    "setup, want",
+    [
+        ("def numeric_check():\n    raise MemoryError('no room')",
+         ["gammagenus: internal error: MemoryError: no room"]),
+        ("sys.modules['numpy'] = None\n"
+         "def numeric_check():\n    import numpy",
+         ["gammagenus: internal error: ModuleNotFoundError: "
+          "import of numpy halted; None in sys.modules"]),
+        ("read_end, write_end = os.pipe()\nos.dup2(write_end, 1)\n"
+         "os.close(read_end)\nos.close(write_end)", []),
+    ],
+    ids=["numeric-raises", "no-numpy", "closed-stdout"],
+)
+def test_the_worker_is_reaped_when_this_process_fails(setup, want):
+    code, forks, reaped, _, err = _run_fork_script(setup)
+    assert (code, forks, reaped, err) == (
+        cli.EXIT_INTERNAL if want else cli.EXIT_OK, 1, True, want
+    )
+
+
+def test_a_threaded_caller_runs_verify_all_without_forking(monkeypatch, capsys):
+    # fork copies only the calling thread, and any lock another thread held
+    def no_fork():
+        raise AssertionError("forked beside a second thread")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait, args=(300,))
+    other.start()
+    try:
+        code = cli.main(["verify", "--suite", "all"])
+    finally:
+        stop.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    out, err = capsys.readouterr()
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert _sha256(out) == json.loads(GOLDENS.read_text())["verify-all"]
 
 
 def test_mzv_text():
