@@ -18,15 +18,17 @@ mzv numeric, stuffle words, verify all of them; json is imported only for
 --format json.
 
 verify --suite all runs its suites side by side: a worker forked after the
-imports runs words and sends its records back down a pipe, while this
+imports runs words and pickles its records back down a pipe, while this
 process runs symbolic and numeric (numpy's import is half of their time),
 and the report lists them in SUITES order, the bytes run_suite("all")
 gives.  With a second CPU free that takes about a fifth off the wall time,
 for 0.05-0.09 s more CPU time.  The fork is taken only in a single-threaded
 process, since a child gets only the forking thread and any lock another
 thread held; elsewhere, and where os.fork is missing, the suites run in
-turn.  A worker that dies, or whose check raises MemoryError,
-RecursionError or ImportError, is an internal error (exit 4), and the
+turn.  A check that raises MemoryError, RecursionError or ImportError (or
+a subclass) makes the worker pickle that exception, which this process
+raises again as it is, so --suite all prints the stderr line --suite words
+would; that and a worker that dies are internal errors (exit 4), and the
 worker is reaped on every path.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or budget errors,
@@ -201,82 +203,53 @@ def _single_threaded() -> bool:
         return threading.active_count() == 1
 
 
-def _start_words_worker(run_suite):
-    """Fork a worker that runs the words suite and writes its records down a
-    pipe, marshalled; return (pid, read end), or None where fork is missing
-    or the process has threads, whose locks a forked child could inherit held.
-    A check that raises past run_suite travels as its type name and text.
-    The worker leaves by os._exit, so it never flushes this process's buffers.
-    """
-    if not hasattr(os, "fork") or not _single_threaded():
-        return None
-    import marshal
+def _run_verify(suite):
+    """run_suite(suite), except that for "all" a forked worker runs words
+    while this process runs symbolic and numeric (see the module docstring).
+    The worker pickles its records, or the exception that escaped run_suite,
+    and leaves by os._exit, so it never flushes this process's buffers."""
+    from .verify import Report, run_suite
 
+    if suite != "all" or not hasattr(os, "fork") or not _single_threaded():
+        return run_suite(suite)
     read_end, write_end = os.pipe()
     pid = os.fork()
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    code = 1
-    try:
-        os.close(read_end)
+    if not pid:
+        code = 1
         try:
-            message = [
-                [getattr(c, field) for field in c.__slots__]
-                for c in run_suite("words").checks
-            ]
-        except Exception as exc:
-            message = (type(exc).__name__, str(exc))
-        with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(message))
-        code = 0
-    finally:
-        os._exit(code)
+            import pickle
 
-
-def _join_words_worker(pid, read_end):
-    """The fields of the worker's records.  An error it reports is raised
-    here; a worker that died or sent a cut message is an error too."""
-    import builtins
-    import marshal
-
+            os.close(read_end)
+            try:
+                message = run_suite("words").checks
+            except Exception as exc:  # MemoryError, RecursionError or ImportError
+                message = exc
+            with open(write_end, "wb") as pipe:
+                pickle.dump(message, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
     try:
         with open(read_end, "rb") as pipe:
+            checks = {name: run_suite(name).checks for name in ("symbolic", "numeric")}
             data = pipe.read()
+    except BaseException:
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         _, status = os.waitpid(pid, 0)
     if status:
         code = os.waitstatus_to_exitcode(status)
         raise RuntimeError(f"the words suite's worker ended with exit code {code}")
-    message = marshal.loads(data)  # EOFError or ValueError if cut short
-    if isinstance(message, tuple):  # MemoryError, RecursionError or ImportError
-        name, text = message
-        raise getattr(builtins, name)(text)
-    return message
+    import pickle
 
-
-def _run_verify(suite):
-    """run_suite(suite), except that for "all" the words suite runs in a
-    forked worker while this process runs symbolic and numeric; the records
-    come back in SUITES order, as run_suite("all") gives them."""
-    from .verify import CheckRecord, Report, run_suite
-
-    worker = _start_words_worker(run_suite) if suite == "all" else None
-    if worker is None:
-        return run_suite(suite)
-    pid, read_end = worker
-    try:
-        checks = {name: run_suite(name).checks for name in ("symbolic", "numeric")}
-    except BaseException:
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        os.close(read_end)
-        os.waitpid(pid, 0)
-        raise
-    checks["words"] = [
-        CheckRecord(*fields) for fields in _join_words_worker(pid, read_end)
-    ]
+    words = pickle.loads(data)  # EOFError or UnpicklingError if cut short
+    if isinstance(words, BaseException):
+        raise words
+    checks["words"] = words
     return Report("all", [c for name in SUITES for c in checks[name]])
 
 
