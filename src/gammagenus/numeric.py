@@ -7,16 +7,16 @@ majorants A_j (1 + ln n)^{r_j} built from comparison integrals, the
 outermost tail gets an Euler-Maclaurin estimate with an enveloping
 remainder term, and floating-point accumulation is covered by a separate
 rounding allowance.  A sum that fits in one block of BLOCK terms is one
-running sum per level over its power rows; up to the ladder's sixth rung,
-CACHED_ROW_CUTOFF = 3200, those rows are slices of one cached read-only row
-per exponent (25.6 KB each, at most 16 kept), so such a sum computes no
-power.  A cutoff past one block works in a few fixed cache-sized rows
-whatever the cutoff, each block laid out as 16 rows of 2048 lanes, 16
-consecutive n to a lane, so a running sum is vector adds down the rows plus
-one short running sum across the lanes.  Either way each running-sum entry
-takes at most N additions of nonnegative terms (2 * 16 + 2048 +
-ceil(N / BLOCK) past one block), inside the allowance.  Bounds are absolute
-and intended to be honest, not tight.
+running sum per level over fresh power rows.  The sums at the ladder's first
+six rungs, up to CACHED_ROW_CUTOFF = 3200, are kept per composition, all six
+from one such pass over n <= 3200 (the last 256 compositions, 18 doubles
+each), so a later request at those rungs sums nothing.  A cutoff past one
+block works in a few fixed cache-sized rows whatever the cutoff, each block
+laid out as 16 rows of 2048 lanes, 16 consecutive n to a lane, so a running
+sum is vector adds down the rows plus one short running sum across the
+lanes.  Either way each running-sum entry takes at most N additions of
+nonnegative terms (2 * 16 + 2048 + ceil(N / BLOCK) past one block), inside
+the allowance.  Bounds are absolute and intended to be honest, not tight.
 
 gamma and pi enter as stored decimal constants (50 digits).  A single
 zeta(k), for the ring's odd generators and for 1/Gamma's log series, is the
@@ -70,15 +70,12 @@ MAX_CUTOFF = 20_000_000
 # Rung i of the cutoff ladder is min(FIRST_RUNG * 2^i, MAX_CUTOFF): 19 rungs.
 _LADDER = tuple(min(FIRST_RUNG << i, MAX_CUTOFF) for i in range(19))
 
-# One-block sums up to this cutoff, the ladder's first six rungs, read their
-# power rows from _cached_power_row: one row of 25.6 KB per exponent, at most
-# POWER_CACHE_SIZE of them (410 KB); rows of BLOCK doubles would take 256 KB
-# each for little more speed.
+# Sums at the ladder's rungs up to this cutoff, its first six, are kept by
+# _rung_sums; one pass to 25 600 would cost about 0.3 ms per composition.
 CACHED_ROW_CUTOFF = _LADDER[5]
-POWER_CACHE_SIZE = 16
 
-# Cutoff plans kept, one per composition, each well under a kilobyte: the
-# 232 compositions of weight <= 12 with every part >= 2 fit.
+# Cutoff plans and rung sums kept, one each per composition, each well under a
+# kilobyte: the 232 compositions of weight <= 12 with every part >= 2 fit.
 PLAN_CACHE_SIZE = 256
 
 GAMMA_DECIMAL = "0.57721566490153286060651209008240243104215933593992"
@@ -292,15 +289,47 @@ def _power_row(n, s: int, out=None):
     return np.power(n, -float(s), out=out)
 
 
-@lru_cache(maxsize=POWER_CACHE_SIZE)
-def _cached_power_row(s: int):
-    """n^-s for n = 1 .. CACHED_ROW_CUTOFF by _power_row, made read-only
-    because every one-block sum up to that cutoff shares it."""
+def _one_block(comp, N: int, at) -> tuple:
+    """(level, carries) of one pass over n <= N <= BLOCK: level the N terms
+    m^-s_1 T_2(m), and carries[i] the list T_2(M+1) .. T_k(M+1) at M = at[i].
+
+    One running sum per level over fresh power rows, so every running-sum
+    entry takes at most N additions.  Running sums are sequential scans and a
+    power entry depends on its n alone, so the first M entries of each row
+    are those of the pass over n <= M, bit for bit.
+    """
     import numpy as np
 
-    row = _power_row(np.arange(1.0, CACHED_ROW_CUTOFF + 1.0), s)
-    row.flags.writeable = False
-    return row
+    k = len(comp)
+    n = np.arange(1.0, N + 1.0)
+    power = {s: _power_row(n, s) for s in set(comp)}
+    level = power[comp[-1]]
+    carries, csum, terms = np.empty((k - 1, len(at))), np.empty(N), np.empty(N)
+    terms[0] = 0.0
+    for j in range(k, 1, -1):
+        # level j - 1 at m is m^-s times the running sum below m
+        np.add.accumulate(level, out=csum)
+        carries[j - 2] = csum[[M - 1 for M in at]]
+        level = terms
+        np.multiply(power[comp[j - 2]][1:], csum[:-1], out=level[1:])
+    if not level.min() >= 0.0:
+        raise AssertionError("negative summand in a positive series")
+    return level, carries.T.tolist()
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _rung_sums(comp) -> array:
+    """The partial sum, T_2(N+1) (1 at depth 1) and the carries' total at
+    each rung N up to CACHED_ROW_CUTOFF, with the bits mzv_info would take
+    from _dp_sum(comp, N): one _one_block pass's rows are prefix-stable,
+    level[:N].sum() is numpy's pairwise sum of the same contiguous prefix,
+    and the carries add in mzv_info's order, 2 .. k."""
+    level, carries = _one_block(comp, CACHED_ROW_CUTOFF, _LADDER[:6])
+    table = array("d")
+    for N, carried in zip(_LADDER[:6], carries):
+        t2 = carried[0] if carried else 1.0
+        table.extend((float(level[:N].sum()), t2, sum(carried)))
+    return table
 
 
 def _dp_sum(comp, N: int):
@@ -311,53 +340,30 @@ def _dp_sum(comp, N: int):
     is asserted along the way (monotone convergence in the cutoff).  The
     sum is finite, so s_1 = 1 is valid here: (1,) gives the harmonic H_N.
 
-    A sum that fits in one block, N <= BLOCK, is one running sum per level
-    over the power rows, and every running-sum entry takes at most N
-    additions.  For N <= CACHED_ROW_CUTOFF those rows are read-only slices of
-    _cached_power_row's rows, so no n^-s is computed again; past it they are
-    computed fresh.  Either way each entry n^-s is the same double, so the
-    sums have the same bits.
-
-    Past one block, rows of BLOCK doubles are allocated once per call,
-    whatever N is, and each block is laid out as _ROWS = 16 rows of
-    BLOCK // 16 = 2048 lanes, lane l holding 16 consecutive n
-    (n[t, l] = lo + 16 l + t).  A level's running sum is built from the lane
-    totals (a sum down the rows), one running sum over the 2048 lane totals
-    plus the carry for row 0, and 15 row adds vals[t] = vals[t-1] +
-    level[t-1]: vector adds, not one scalar chain over the block.  The last
-    block keeps ceil(m / 16) lanes and sets n past N to infinity, so its
-    power rows read 0 there.  Every running-sum entry is formed with at most
-    2 * 16 + 2048 + ceil(N / BLOCK) additions of nonnegative terms (down the
-    rows, across the lanes, the carries, along the rows), fewer than N.
+    A sum with N <= BLOCK is one _one_block pass.  Past one block, rows of
+    BLOCK doubles are allocated once per call, whatever N is, and each block
+    is laid out as _ROWS = 16 rows of BLOCK // 16 = 2048 lanes, lane l
+    holding 16 consecutive n (n[t, l] = lo + 16 l + t).  A level's running
+    sum is built from the lane totals (a sum down the rows), one running sum
+    over the 2048 lane totals plus the carry for row 0, and 15 row adds
+    vals[t] = vals[t-1] + level[t-1]: vector adds, not one scalar chain over
+    the block.  The last block keeps ceil(m / 16) lanes and sets n past N to
+    infinity, so its power rows read 0 there.  Every running-sum entry is
+    formed with at most 2 * 16 + 2048 + ceil(N / BLOCK) additions of
+    nonnegative terms (down the rows, across the lanes, the carries, along
+    the rows), fewer than N.
 
     So _slop's allowance of N additions per level covers every route.  The
     power rounding is one correctly rounded division for s <= 2 and within
     1 ulp for s >= 3 (_power_row), both inside SUM_EPS's allowance.
     """
+    if N <= BLOCK:
+        level, (carried,) = _one_block(comp, N, (N,))
+        return float(level.sum()), dict(enumerate(carried, 2))
     import numpy as np
 
     k = len(comp)
     carry = {j: 0.0 for j in range(2, k + 1)}
-    if N <= BLOCK:
-        if N <= CACHED_ROW_CUTOFF:
-            power = {s: _cached_power_row(s)[:N] for s in set(comp)}
-        else:
-            n = np.arange(1.0, N + 1.0)
-            power = {s: _power_row(n, s) for s in set(comp)}
-        level = power[comp[-1]]
-        if k > 1:
-            csum, terms = np.empty(N), np.empty(N)
-            terms[0] = 0.0
-        for j in range(k, 1, -1):
-            # level j - 1 at m is m^-s times the running sum below m
-            np.add.accumulate(level, out=csum)
-            carry[j] = float(csum[-1])
-            level = terms
-            np.multiply(power[comp[j - 2]][1:], csum[:-1], out=level[1:])
-        if not level.min() >= 0.0:
-            raise AssertionError("negative summand in a positive series")
-        return float(level.sum()), carry
-
     lanes = BLOCK // _ROWS
     n = np.add.outer(np.arange(1.0, _ROWS + 1.0), np.arange(0.0, BLOCK, _ROWS))
     power = {s: np.empty((_ROWS, lanes)) for s in set(comp)}
@@ -442,12 +448,14 @@ def mzv_info(args, tol: float, *, cutoff=None):
     The cutoff is normally the first rung of the fixed doubling ladder (100,
     200, 400, ... up to MAX_CUTOFF) whose predicted bound is at most
     0.8 * tol; the ladder and its bounds are planned once per composition
-    and kept, so a call pays only for its sum.  Passing cutoff explicitly
-    skips the ladder (the reported bound is then whatever that cutoff
-    honestly achieves, and tol is only checked to be positive); it must be
-    an int from FIRST_RUNG = 100 to MAX_CUTOFF = 20 000 000, else
-    ValueError.  Both paths take the tail terms from _tail_terms, so a
-    cutoff the ladder chose gives the same value and bound bit for bit.
+    and kept, and so are the sums at the first six rungs (_rung_sums), read
+    whenever the cutoff is one of them; any other is summed by _dp_sum, with
+    the same bits.  Passing cutoff explicitly skips the ladder (the reported
+    bound is then whatever that cutoff honestly achieves, and tol is only
+    checked to be positive); it must be an int from FIRST_RUNG = 100 to
+    MAX_CUTOFF = 20 000 000, else ValueError.  Both paths take the tail
+    terms from _tail_terms, so a cutoff the ladder chose gives the same
+    value and bound bit for bit.
 
     The predicted bound falls with the cutoff until the rounding allowance,
     which grows with it, takes over; the ladder never goes past the rung
@@ -477,12 +485,16 @@ def mzv_info(args, tol: float, *, cutoff=None):
             "64-bit summation cannot certify it"
         ) from None
     k = len(comp)
-    partial, carry = _dp_sum(comp, N)
-    t2 = carry[2] if k >= 2 else 1.0
+    if N <= CACHED_ROW_CUTOFF and N in _LADDER:
+        i = 3 * _LADDER.index(N)
+        partial, t2, carried = _rung_sums(comp)[i : i + 3]
+    else:
+        partial, carry = _dp_sum(comp, N)
+        t2, carried = carry.get(2, 1.0), sum(carry.values())
     # The drift lies in [0, rup]; center it and report a touch over half the
     # width so a doubled-cutoff rerun stays inside this run's bound.
     value = partial + t2 * zmid + 0.5 * rup
-    slop = _slop(k, N, partial + sum(carry.values()) + 1.0)
+    slop = _slop(k, N, partial + carried + 1.0)
     bound = _bound(t2, ez, rup, slop)
     if cutoff is None and bound > tol:
         raise AssertionError(

@@ -32,13 +32,12 @@ from gammagenus.numeric import (
     GAMMA_DECIMAL,
     PI_DECIMAL,
     PLAN_CACHE_SIZE,
-    POWER_CACHE_SIZE,
-    _cached_power_row,
     _check_log_series,
     _choose_cutoff,
     _dp_sum,
     _plan,
     _power_row,
+    _rung_sums,
     _slop,
     eval_mzv_terms,
     eval_qsym,
@@ -670,18 +669,83 @@ def test_cached_and_fresh_power_rows_sum_to_the_same_bits(N):
             assert carry.hex() == want_carries[j].hex(), (comp, j)
 
 
-def test_cached_power_rows_are_read_only_and_bounded():
-    row = _cached_power_row(3)
-    assert len(row) == CACHED_ROW_CUTOFF
-    with pytest.raises(ValueError, match="read-only"):
-        row[0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        row[:100] *= 2.0
-    for s in range(2, 42):
-        _dp_sum((s, 2), 100)
-    info = _cached_power_row.cache_info()
-    assert info.maxsize == POWER_CACHE_SIZE
-    assert info.currsize <= info.maxsize
+RUNGS = [100, 200, 400, 800, 1600, CACHED_ROW_CUTOFF]
+
+
+@pytest.mark.parametrize("i", range(6))
+def test_rung_sums_have_the_bits_of_dp_sum(i):
+    N = RUNGS[i]
+    for comp in convergent_compositions(8):
+        partial, carries = _dp_sum(comp, N)
+        want = [partial, carries.get(2, 1.0), float(sum(carries.values()))]
+        got = _rung_sums(comp)[3 * i : 3 * i + 3]
+        assert list(map(float.hex, got)) == list(map(float.hex, want)), comp
+
+
+def test_rung_cutoffs_read_the_table_and_others_sum(monkeypatch):
+    # 150 and 3199 are explicit cutoffs that are no rung
+    sums = []
+
+    def counted(comp, N):
+        sums.append(N)
+        return dp_sum(comp, N)
+
+    dp_sum = numeric._dp_sum
+    monkeypatch.setattr(numeric, "_dp_sum", counted)
+    cutoffs = [150, 3199, *RUNGS, CACHED_ROW_CUTOFF + 1, 6400]
+    got = [mzv_info((3, 2), 1.0, cutoff=N) for N in cutoffs]
+    assert sums == [150, 3199, CACHED_ROW_CUTOFF + 1, 6400]
+    for tol in (1e-3, 1e-6, 1e-8):
+        assert mzv_info((3, 2), tol)[1] in RUNGS
+    assert len(sums) == 4
+    # with no rung read from the table every cutoff sums, to the same bits
+    monkeypatch.setattr(numeric, "CACHED_ROW_CUTOFF", 0)
+    want = [mzv_info((3, 2), 1.0, cutoff=N) for N in cutoffs]
+    assert sums[4:] == cutoffs
+    for (v, M), (w, L) in zip(got, want):
+        assert (v.value.hex(), v.bound.hex(), M) == (w.value.hex(), w.bound.hex(), L)
+
+
+def test_rung_sums_are_bounded():
+    _rung_sums.cache_clear()
+    comps = [(a, b) for a in range(2, 20) for b in range(2, 20)]
+    comps = comps[: PLAN_CACHE_SIZE + 10]
+    for comp in comps:
+        mzv_info(comp, 1e-3)
+    info = _rung_sums.cache_info()
+    assert info.maxsize == PLAN_CACHE_SIZE
+    assert info.currsize == PLAN_CACHE_SIZE
+
+
+def test_rung_sums_are_built_once_per_composition():
+    _rung_sums.cache_clear()
+    at_rungs = 0
+    for i in range(1000):
+        try:
+            N = mzv_info((2, 2), 10.0 ** (-3 - 8 * i / 1000))[1]
+        except CutoffBudgetError:
+            continue
+        at_rungs += N in RUNGS
+    assert 1 < at_rungs < 1000
+    info = _rung_sums.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, at_rungs - 1, 1)
+
+
+def test_a_refusal_loads_no_numpy():
+    # a refusal is decided from the plan alone, before any sum
+    script = (
+        "import sys\n"
+        "from gammagenus.numeric import CutoffBudgetError, mzv\n"
+        "try:\n"
+        "    mzv((2,), 1e-14)\n"
+        "except CutoffBudgetError:\n"
+        "    print('refused', 'numpy' in sys.modules)\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "refused False\n"
 
 
 def test_every_refusal_names_a_tolerance_that_certifies():
